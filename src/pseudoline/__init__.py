@@ -20,7 +20,6 @@ from .lines import Line, LineArrangement, lines_to_diagram
 from .necklace import build_arrangement, enumerate_selfdual, q_formula
 from .render import render_diagram, render_lines
 from .stretch import realize_im, select_insertion_frame
-from .sweep import KERNEL
 from .wiring import (
     WiringDiagram,
     format_diagram,
@@ -40,5 +39,5 @@ __all__ = [
     "find_isomorphism", "Line", "LineArrangement", "lines_to_diagram",
     "q_formula", "enumerate_selfdual", "build_arrangement",
     "select_insertion_frame", "realize_im", "render_diagram", "render_lines",
-    "KERNEL", "PseudolineError", "__version__",
+    "PseudolineError", "__version__",
 ]

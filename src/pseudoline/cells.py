@@ -13,7 +13,7 @@ from functools import cached_property
 from .sweep import sweep_arrays
 from .wiring import WiringDiagram
 
-__all__ = ["Crossing", "Edge", "Face", "CellComplex", "build_cell_complex"]
+__all__ = ["Crossing", "Edge", "CellComplex", "build_cell_complex"]
 
 
 @dataclass(frozen=True)
@@ -34,24 +34,12 @@ class Edge:
     left_face: int  # face above the wire
     right_face: int  # face below the wire
 
-    @property
-    def is_ray(self) -> bool:
-        return self.left_step is None or self.right_step is None
-
-
-@dataclass(frozen=True)
-class Face:
-    id: int
-    bounded: bool
-    boundary: tuple[int, ...]  # edge ids; a single closed cycle when bounded
-    side_count: int | None  # defined only for bounded faces
-
 
 class CellComplex:
     """Incidence structure of a wiring diagram.
 
     Immutable after construction.  Faces and edges are referred to by dense
-    integer ids; the flat arrays from the sweep kernel are the ground truth
+    integer ids; the flat arrays from the sweep are the ground truth
     and the dataclass views are built lazily.
     """
 
@@ -186,17 +174,6 @@ class CellComplex:
             for (_, r), (l2, _) in zip(xs, xs[1:]):
                 assert r == l2, "chain not contiguous"
         return tuple(lower + upper)
-
-    def face(self, f: int) -> Face:
-        bounded = self.face_bounded(f)
-        if bounded:
-            boundary = self.boundary_cycle(f)
-            return Face(f, True, boundary, len(boundary))
-        edges = sorted(
-            self._face_edges[f],
-            key=lambda e: (self.edge_span(e)[0] is not None, self.edge_span(e)[0] or 0),
-        )
-        return Face(f, False, tuple(edges), None)
 
     # -- global checks --------------------------------------------------
 

@@ -51,7 +51,7 @@ def cmd_analyze(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.count_only and args.jobs > 1 and not args.dedup and args.filter is None:
         with Pool(args.jobs) as pool:
-            parts = pool.starmap(_count_prefix, [(args.n, t) for t in range(1, args.n)])
+            parts = pool.starmap(_count_prefix, [(args.n, p) for p in _shards(args.n)])
         print(sum(parts))
         return 0
     stream = enumerate_simple(args.n, filter=args.filter, dedup=args.dedup)
@@ -63,8 +63,16 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _count_prefix(n: int, first: int) -> int:
-    return sum(1 for _ in raw_words(n, prefix=(first,)))
+def _shards(n: int) -> list[tuple[int, ...]]:
+    """Word prefixes that split the enumeration: one per first letter.
+
+    For n = 1 there is no letter, and the one shard is the empty prefix.
+    """
+    return [(t,) for t in range(1, n)] or [()]
+
+
+def _count_prefix(n: int, prefix: tuple[int, ...]) -> int:
+    return sum(1 for _ in raw_words(n, prefix=prefix))
 
 
 def cmd_necklace(args) -> int:
@@ -75,11 +83,10 @@ def cmd_necklace(args) -> int:
         for beads in enumerate_selfdual(args.m):
             print("".join(map(str, beads)))
         return 0
-    beads = tuple(int(ch) for ch in args.build)
-    if len(beads) != 2 * args.m:
+    if len(args.build) != 2 * args.m:
         print(f"error: bitstring must have {2 * args.m} beads", file=sys.stderr)
         return 2
-    arr, d = build_arrangement(args.m, beads)
+    arr, d = build_arrangement(args.m, args.build)
     print(_arrangement_json(arr))
     print(format_diagram(d), end="")
     return 0
@@ -103,9 +110,9 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _verify_prefix(n: int, first: int) -> tuple[int, tuple[int, ...] | None, str]:
+def _verify_prefix(n: int, prefix: tuple[int, ...]) -> tuple[int, tuple[int, ...] | None, str]:
     count = 0
-    for word in raw_words(n, prefix=(first,)):
+    for word in raw_words(n, prefix=prefix):
         count += 1
         results = run_checks(WiringDiagram(n, word))
         for name, ok in results.items():
@@ -116,12 +123,12 @@ def _verify_prefix(n: int, first: int) -> tuple[int, tuple[int, ...] | None, str
 
 def cmd_verify(args) -> int:
     n = args.n
-    prefixes = list(range(1, n)) if n > 1 else []
+    prefixes = _shards(n)
     if args.jobs > 1:
         with Pool(args.jobs) as pool:
-            parts = pool.starmap(_verify_prefix, [(n, t) for t in prefixes])
+            parts = pool.starmap(_verify_prefix, [(n, p) for p in prefixes])
     else:
-        parts = [_verify_prefix(n, t) for t in prefixes]
+        parts = [_verify_prefix(n, p) for p in prefixes]
     total = sum(p[0] for p in parts)
     failures = [(word, name) for _, word, name in parts if word is not None]
     for name in ALL_CHECKS:
@@ -133,6 +140,22 @@ def cmd_verify(args) -> int:
         print(f"counterexample ({name}): n={n} swaps={' '.join(map(str, word))}")
         return 1
     return 0
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _bitstring(text: str) -> tuple[int, ...]:
+    if set(text) - {"0", "1"}:
+        raise argparse.ArgumentTypeError(f"must be a string of 0s and 1s, got {text!r}")
+    return tuple(int(ch) for ch in text)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -152,11 +175,11 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("necklace", help="self-dual necklaces and their arrangements")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_positive_int, required=True)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--count", action="store_true")
     g.add_argument("--list", action="store_true")
-    g.add_argument("--build", metavar="BITSTRING")
+    g.add_argument("--build", type=_bitstring, metavar="BITSTRING")
     p.set_defaults(fn=cmd_necklace)
 
     p = sub.add_parser("realize", help="stretch a diagram into straight lines")

@@ -52,7 +52,6 @@ def grid_embedding(d: WiringDiagram, complex: CellComplex | None = None) -> Grid
     cx = complex if complex is not None else CellComplex(d)
     n = d.n
     perm = list(range(1, n + 1))
-    pos = {w: w - 1 for w in perm}
     points: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(n)]
     for s, t in enumerate(d.swaps):
         u, v = perm[t - 1], perm[t]
@@ -62,7 +61,6 @@ def grid_embedding(d: WiringDiagram, complex: CellComplex | None = None) -> Grid
         points[v - 1].append((xs - HALF, Fraction(-t)))
         points[v - 1].append((xs + HALF, Fraction(-(t - 1))))
         perm[t - 1], perm[t] = v, u
-        pos[u], pos[v] = t, t - 1
 
     sw = cx.sw
     witness = []
@@ -83,17 +81,6 @@ def grid_embedding(d: WiringDiagram, complex: CellComplex | None = None) -> Grid
     return GridEmbedding(d, tuple(tuple(p) for p in points), tuple(witness))
 
 
-def _region_timeline(cx: CellComplex):
-    """Per region: list of (open_step, close_step, face), sweep order."""
-    sw = cx.sw
-    timeline: list[list[tuple[int, int, int]]] = [[] for _ in range(cx.n + 1)]
-    for f in range(cx.num_faces):
-        timeline[sw.face_region[f]].append((sw.face_open[f], sw.face_close[f], f))
-    for lst in timeline:
-        lst.sort(key=lambda rec: rec[0])
-    return timeline
-
-
 def face_containing(cx: CellComplex, point, emb: GridEmbedding) -> int:
     """The face whose region contains ``point``; OnBoundary if on a wire."""
     x, y = Fraction(point[0]), Fraction(point[1])
@@ -108,43 +95,18 @@ def face_containing(cx: CellComplex, point, emb: GridEmbedding) -> int:
 
 
 def _face_in_region(cx: CellComplex, region: int, x: Fraction) -> int:
-    if not hasattr(cx, "_timeline"):
-        cx._timeline = _region_timeline(cx)
-    for op, cl, f in cx._timeline[region]:
-        lo = Fraction(op) if op >= 0 else None
-        hi = Fraction(cl) if cl >= 0 else None
-        if (lo is None or lo < x) and (hi is None or x < hi):
-            return f
-    raise AssertionError(f"no face in region {region} at x={x}")
+    """The face of ``region`` whose open x-interval holds ``x``.
 
-
-def induced_face_containing(sub_cx: CellComplex, kept_wires, parent_step_of, emb: GridEmbedding, point) -> int:
-    """Locate ``point`` in a face of an induced subarrangement.
-
-    The induced wires reuse the parent polylines (``emb`` is the parent
-    embedding), so sides are decided against those; the induced sweep
-    timeline is translated back to parent x-coordinates via
-    ``parent_step_of`` (child step -> parent step).
+    Faces in one region have disjoint open intervals, so at most one matches.
     """
-    x, y = Fraction(point[0]), Fraction(point[1])
-    kept = sorted(kept_wires)
-    above = 0
-    for w in kept:
-        yw = emb.wire_y(w, x)
-        if yw == y:
-            raise OnBoundary(f"point on wire {w}")
-        if yw > y:
-            above += 1
-    sw = sub_cx.sw
-    for f in range(sub_cx.num_faces):
-        if sw.face_region[f] != above:
+    sw = cx.sw
+    for f in range(cx.num_faces):
+        if sw.face_region[f] != region:
             continue
         op, cl = sw.face_open[f], sw.face_close[f]
-        lo = Fraction(parent_step_of[op]) if op >= 0 else None
-        hi = Fraction(parent_step_of[cl]) if cl >= 0 else None
-        if (lo is None or lo < x) and (hi is None or x < hi):
+        if (op < 0 or op < x) and (cl < 0 or x < cl):
             return f
-    raise AssertionError(f"no induced face in region {above} at x={x}")
+    raise AssertionError(f"no face in region {region} at x={x}")
 
 
 def extract_diagram(emb: GridEmbedding) -> WiringDiagram:

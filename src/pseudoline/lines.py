@@ -88,9 +88,7 @@ def lines_to_diagram(arr: LineArrangement) -> LinesResult:
         assert pj == pi + 1, "crossing lines are not adjacent in the sweep"
         pos[i], pos[j] = pj, pi
         swaps.append(pi + 1)
-    d = WiringDiagram(n, tuple(swaps))
-    validate_wiring(d.n, d.swaps)
-    return LinesResult(d, wire_of_line)
+    return LinesResult(validate_wiring(n, swaps), wire_of_line)
 
 
 def frac_str(f: Fraction) -> str:

@@ -2,6 +2,7 @@ import pytest
 
 from pseudoline.cells import build_cell_complex
 from pseudoline.enumeration import raw_words
+from pseudoline.sweep import census_sides
 from pseudoline.wiring import WiringDiagram, validate_wiring
 
 
@@ -76,6 +77,14 @@ def test_bounded_count_formula_small(n):
     for word in raw_words(n):
         cx = build_cell_complex(WiringDiagram(n, word))
         assert len(cx.bounded_faces()) == 1 + n * (n - 3) // 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_census_sides_matches_cell_complex(n):
+    for word in raw_words(n):
+        cx = build_cell_complex(WiringDiagram(n, word))
+        expected = sorted(cx.face_side_count(f) for f in cx.bounded_faces())
+        assert census_sides(n, word) == expected
 
 
 def test_unbounded_face_count():

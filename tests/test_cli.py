@@ -52,6 +52,12 @@ def test_enumerate_jobs(capsys):
     assert capsys.readouterr().out.strip() == "768"
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_enumerate_n1(jobs, capsys):
+    assert main(["enumerate", "--n", "1", "--count-only", "--jobs", jobs]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+
+
 def test_enumerate_n_out_of_range():
     with pytest.raises(SystemExit):
         main(["enumerate", "--n", "9", "--count-only"])
@@ -78,6 +84,21 @@ def test_necklace_build(capsys):
 
 def test_necklace_build_bad_length(capsys):
     assert main(["necklace", "--m", "3", "--build", "01"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["necklace", "--m", "0", "--count"],
+        ["necklace", "--m", "-2", "--list"],
+        ["necklace", "--m", "2", "--build", "0a01"],
+    ],
+)
+def test_necklace_usage_errors_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_realize_roundtrip(tmp_path, capsys):
@@ -114,4 +135,12 @@ def test_verify_n4(capsys):
     assert main(["verify", "--n", "4"]) == 0
     out = capsys.readouterr().out
     assert "diagrams checked: 16" in out
+    assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_n1(jobs, capsys):
+    assert main(["verify", "--n", "1", "--jobs", jobs]) == 0
+    out = capsys.readouterr().out
+    assert "diagrams checked: 1" in out
     assert "FAIL" not in out
