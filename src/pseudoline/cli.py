@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: analyze, enumerate, necklace, realize, render, verify.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -10,10 +10,11 @@ import argparse
 import json
 import sys
 from multiprocessing import Pool
+from typing import Callable, TypeVar
 
 from .analysis import report_json
-from .enumeration import MAX_N, enumerate_simple, raw_words
-from .errors import ParseError, PseudolineError
+from .enumeration import MAX_N, enumerate_simple, is_normal, raw_words
+from .errors import InputError, PseudolineError
 from .lines import Line, LineArrangement, frac_str, lines_to_diagram, parse_frac
 from .necklace import build_arrangement, enumerate_selfdual, q_formula
 from .render import render_diagram, render_lines
@@ -24,10 +25,30 @@ from .wiring import WiringDiagram, format_diagram, parse_diagram
 
 __all__ = ["main"]
 
+T = TypeVar("T")
+
+
+def _load(path: str, parse: Callable[[str], T]) -> T:
+    """Read a file ('-' = stdin) and parse it.
+
+    A file that cannot be read, or content that does not parse, is an
+    InputError, which the CLI reports in one line with exit code 2.
+    """
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path) as fh:
+                text = fh.read()
+        return parse(text)
+    except KeyError as exc:
+        raise InputError(f"{path}: missing key {exc}") from exc
+    except (OSError, ValueError, TypeError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
 
 def _read_diagram(path: str) -> WiringDiagram:
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return parse_diagram(text)
+    return _load(path, parse_diagram)
 
 
 def _arrangement_json(arr: LineArrangement) -> str:
@@ -36,10 +57,10 @@ def _arrangement_json(arr: LineArrangement) -> str:
     )
 
 
-def _load_arrangement(path: str) -> LineArrangement:
-    data = json.loads(open(path).read())
+def _parse_arrangement(text: str) -> LineArrangement:
+    entries = json.loads(text)
     return LineArrangement(
-        tuple(Line(parse_frac(e["slope"]), parse_frac(e["intercept"])) for e in data)
+        tuple(Line(parse_frac(e["slope"]), parse_frac(e["intercept"])) for e in entries)
     )
 
 
@@ -104,15 +125,18 @@ def cmd_realize(args) -> int:
 
 def cmd_render(args) -> int:
     if args.lines:
-        print(render_lines(_load_arrangement(args.lines)), end="")
+        print(render_lines(_load(args.lines, _parse_arrangement)), end="")
     else:
         print(render_diagram(_read_diagram(args.file)), end="")
     return 0
 
 
 def _verify_prefix(n: int, prefix: tuple[int, ...]) -> tuple[int, tuple[int, ...] | None, str]:
+    """Walk every word; run the checks once per arrangement, on its normal word."""
     count = 0
     for word in raw_words(n, prefix=prefix):
+        if not is_normal(word):
+            continue
         count += 1
         results = run_checks(WiringDiagram(n, word))
         for name, ok in results.items():
@@ -204,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
         ap.error(f"--n must be in [1, {MAX_N}]")
     try:
         return args.fn(args)
-    except ParseError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PseudolineError as exc:

@@ -29,7 +29,11 @@ class BadTrack(PseudolineError):
         super().__init__(f"track {track} at step {step} outside [1, {n - 1}]")
 
 
-class ParseError(PseudolineError):
+class InputError(PseudolineError):
+    """Input that cannot be read, parsed or used; the CLI exits 2 on it."""
+
+
+class ParseError(InputError):
     """Text-format parse failure; carries 1-based line and column."""
 
     def __init__(self, message, line, column=None):
@@ -72,6 +76,10 @@ class DuplicateSlope(PseudolineError):
 
 class ConcurrentLines(PseudolineError):
     """Three or more lines pass through one point."""
+
+
+class TooFewLines(InputError):
+    """A line arrangement needs at least two lines to have a crossing."""
 
 
 class NotInIm(PseudolineError):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from .cells import CellComplex, build_cell_complex
 from .embedding import GridEmbedding, grid_embedding
+from .errors import TooFewLines
 from .lines import LineArrangement, crossing_point
 from .wiring import WiringDiagram
 
@@ -82,7 +83,13 @@ def render_diagram(d: WiringDiagram, cx: CellComplex | None = None) -> str:
 
 
 def render_lines(arr: LineArrangement) -> str:
+    """SVG of the lines, framed around all their crossings.
+
+    Raises TooFewLines for fewer than two lines, which have no crossing.
+    """
     lines = arr.lines
+    if len(lines) < 2:
+        raise TooFewLines(f"need at least 2 lines to render, got {len(lines)}")
     xs, ys = [], []
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):

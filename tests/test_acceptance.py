@@ -2,9 +2,11 @@
 
 Each test prints exactly one pass/fail line (routed past pytest's capture so
 the lines are visible in a normal ``pytest -v`` run).  The exhaustive n <= 6
-scan is shared by criteria 1-6 through a session fixture.
+scan is shared by criteria 2-6 through a session fixture; it runs the checks
+once per arrangement, and three tests guard that every word is covered.
 """
 
+import random
 import time
 from itertools import combinations
 
@@ -23,7 +25,7 @@ from pseudoline.necklace import (
     q_formula,
 )
 from pseudoline.stretch import BASE_N, realize_im, select_insertion_frame
-from pseudoline.suites import ALL_CHECKS
+from pseudoline.suites import ALL_CHECKS, run_checks
 from pseudoline.sweep import census_sides
 from pseudoline.wiring import WiringDiagram, induced_subarrangement
 
@@ -34,33 +36,91 @@ def report(num, ok, detail):
     assert ok, line
 
 
+def normal_form(word):
+    """Lex-smallest word of the commutation class of a valid word.
+
+    Insertion: each letter moves left past the larger letters it commutes
+    with.  In a normal prefix no larger commuting letter sits behind a smaller
+    one it could pass, so the result is normal, hence the class's normal form.
+    """
+    out = []
+    for t in word:
+        p = len(out)
+        while p and abs(out[p - 1] - t) >= 2 and out[p - 1] > t:
+            p -= 1
+        out.insert(p, t)
+    return tuple(out)
+
+
+def random_word(n, rng):
+    """A valid swap word, built by crossing a random adjacent uncrossed pair."""
+    perm = list(range(1, n + 1))
+    word = []
+    while len(word) < n * (n - 1) // 2:
+        t = rng.choice([t for t in range(1, n) if perm[t - 1] < perm[t]])
+        perm[t - 1], perm[t] = perm[t], perm[t - 1]
+        word.append(t)
+    return tuple(word)
+
+
 @pytest.fixture(scope="session")
 def scan():
-    """One exhaustive pass over all valid words, 3 <= n <= 6, all checks."""
+    """One exhaustive pass over all arrangements, 3 <= n <= 6, all checks.
+
+    The checks run once per commutation class, on its lex-normal word; the
+    word counts come from word-level enumeration.  Word-invariance of the
+    results is tested below, not assumed.
+    """
     failures = {name: None for name in ALL_CHECKS}
     counts = {}
+    results = {}  # normal word -> {check name: bool}
     one_triangle = None  # first n >= 5 instance of the single-triangle wire
-    im_count = 0
-    checks = [(name, fn) for name, fn in ALL_CHECKS.items()]
     for n in range(3, 7):
-        counts[n] = 0
-        for word in raw_words(n):
-            counts[n] += 1
+        counts[n] = sum(1 for _ in raw_words(n))
+        for word in raw_words(n, classes=True):
             d = WiringDiagram(n, word)
-            cx = build_cell_complex(d)
-            for name, fn in checks:
-                if failures[name] is None and not fn(d, cx):
+            results[word] = run_checks(d)
+            for name, ok in results[word].items():
+                if failures[name] is None and not ok:
                     failures[name] = (n, word)
             if one_triangle is None and n >= 5:
+                cx = build_cell_complex(d)
                 sizes = [len(v) for v in triangle_adjacency(cx).values()]
                 if min(sizes) == 1 and max(sizes) > 1:
                     one_triangle = (n, word)
     return {
         "failures": failures,
         "counts": counts,
+        "results": results,
         "one_triangle": one_triangle,
         "total": sum(counts.values()),
+        "classes": len(results),
     }
+
+
+def test_scan_results_hold_on_every_word_n_le_5(scan):
+    for n in range(3, 6):
+        for word in raw_words(n):
+            got = run_checks(WiringDiagram(n, word))
+            assert got == scan["results"][normal_form(word)], (n, word)
+
+
+def test_scan_results_hold_on_sampled_n6_words(scan):
+    rng = random.Random(20100823)
+    for _ in range(1000):
+        word = random_word(6, rng)
+        got = run_checks(WiringDiagram(6, word))
+        assert got == scan["results"][normal_form(word)], word
+
+
+def test_every_n6_word_maps_to_a_scanned_class(scan):
+    census = {}
+    for word in raw_words(6):
+        rep = normal_form(word)
+        assert rep in scan["results"], word
+        if rep not in census:
+            census[rep] = census_sides(6, rep)
+        assert census_sides(6, word) == census[rep], word
 
 
 @pytest.fixture(scope="session")
@@ -105,8 +165,8 @@ def test_criterion_02_counting_theorem(scan, necklace_diagrams):
         2,
         bad is None and neck_bad is None,
         f"p3 = n-k and p4 = k+n(n-5)/2 on all one-(>=5)-gon diagrams "
-        f"(n<=6 exhaustive, {scan['total']} words) and all "
-        f"{len(necklace_diagrams)} necklace builds 2m<=12",
+        f"(n<=6 exhaustive, {scan['total']} words in {scan['classes']} "
+        f"arrangements) and all {len(necklace_diagrams)} necklace builds 2m<=12",
     )
 
 
@@ -128,7 +188,7 @@ def test_criterion_04_criticality_bound(scan):
         4,
         bad is None,
         f"no bounded (>=4)-gon with >2 critical edges (n<=6 exhaustive, "
-        f"{scan['total']} words)",
+        f"{scan['total']} words in {scan['classes']} arrangements)",
     )
 
 
@@ -155,7 +215,8 @@ def test_criterion_06_containment_lemmas(scan):
         6,
         bad1 is None and bad2 is None,
         f"triangular-region and uncrossed-edge containment suites pass "
-        f"(n<=6 exhaustive, {scan['total']} words)",
+        f"(n<=6 exhaustive, {scan['total']} words in {scan['classes']} "
+        f"arrangements)",
     )
 
 

@@ -32,6 +32,26 @@ def test_analyze_parse_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,content",
+    [
+        (["analyze", "missing.txt"], None),
+        (["render", "--lines", "lines.json"], '[{"slope": "1"}]'),
+        (["render", "--lines", "lines.json"], "not json"),
+        (["render", "--lines", "lines.json"], '{"slope": "1", "intercept": "0"}'),
+        (["render", "--lines", "lines.json"], '[{"slope": "x", "intercept": "0"}]'),
+        (["render", "--lines", "lines.json"], '[{"slope": "1", "intercept": "0"}]'),
+    ],
+)
+def test_input_errors_exit_2(argv, content, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if content is not None:
+        (tmp_path / argv[-1]).write_text(content)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_enumerate_count(capsys):
     assert main(["enumerate", "--n", "4", "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == "16"
@@ -134,7 +154,7 @@ def test_render_lines(tmp_path, capsys):
 def test_verify_n4(capsys):
     assert main(["verify", "--n", "4"]) == 0
     out = capsys.readouterr().out
-    assert "diagrams checked: 16" in out
+    assert "diagrams checked: 8" in out  # arrangements: 16 words, 8 classes
     assert "FAIL" not in out
 
 

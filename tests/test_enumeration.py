@@ -1,8 +1,9 @@
 import pytest
 
 from pseudoline.analysis import is_in_Im
-from pseudoline.enumeration import MAX_N, enumerate_simple, raw_words
+from pseudoline.enumeration import MAX_N, enumerate_simple, is_normal, raw_words
 from pseudoline.errors import NTooLarge
+from pseudoline.isomorphism import canonical_form
 from pseudoline.sweep import census_sides
 from pseudoline.wiring import WiringDiagram, validate_wiring
 
@@ -25,6 +26,84 @@ def test_prefix_partition():
     assert total == 768
     with pytest.raises(ValueError):
         next(raw_words(3, prefix=(1, 1)))
+
+
+# OEIS A006245: commutation classes of reduced words of the longest permutation
+@pytest.mark.parametrize(
+    "n,count", [(1, 1), (2, 1), (3, 2), (4, 8), (5, 62), (6, 908), (7, 24698)]
+)
+def test_class_counts(n, count):
+    assert sum(1 for _ in raw_words(n, classes=True)) == count
+
+
+def test_classes_are_valid_distinct_and_sorted():
+    classes = list(raw_words(6, classes=True))
+    assert len(set(classes)) == len(classes)
+    for w in classes:
+        validate_wiring(6, w)
+    assert classes == sorted(classes)
+
+
+def test_classes_are_the_lex_first_words_of_their_classes():
+    # Commuting swaps (|t - t'| >= 2) leave the arrangement, so its crossings
+    # per wire in order, unchanged; each class's lex-first word is its
+    # normal form.
+    def local_sequences(n, word):
+        perm = list(range(n))
+        seqs = [[] for _ in range(n)]
+        for t in word:
+            u, v = perm[t - 1], perm[t]
+            seqs[u].append(v)
+            seqs[v].append(u)
+            perm[t - 1], perm[t] = v, u
+        return tuple(map(tuple, seqs))
+
+    first = {}
+    for w in raw_words(5):
+        first.setdefault(local_sequences(5, w), w)
+    assert list(raw_words(5, classes=True)) == sorted(first.values())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_is_normal_picks_the_classes(n):
+    assert [w for w in raw_words(n) if is_normal(w)] == list(raw_words(n, classes=True))
+
+
+def test_is_normal_catches_a_letter_that_moves_past_several():
+    assert not is_normal((5, 6, 3))  # 3 commutes with 6 and 5: (3, 5, 6) is smaller
+    assert is_normal((1, 3, 2, 4))
+
+
+def test_class_prefix_partition():
+    classes = list(raw_words(6, classes=True))
+    by_prefix = [w for t in range(1, 6) for w in raw_words(6, prefix=(t,), classes=True)]
+    assert by_prefix == classes
+    below_21 = [w for w in classes if w[:2] == (2, 1)]
+    assert list(raw_words(6, prefix=(2, 1), classes=True)) == below_21
+    with pytest.raises(ValueError):
+        next(raw_words(3, prefix=(1, 1), classes=True))  # not a valid word
+    with pytest.raises(ValueError):
+        next(raw_words(4, prefix=(3, 1), classes=True))  # 1 commutes with 3: (1, 3) is smaller
+    assert next(raw_words(4, prefix=(3, 1))) == (3, 1, 2, 1, 3, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("filter", [None, "one-ge5", "im"])
+def test_dedup_matches_word_level_reference(n, filter):
+    expected, seen = [], set()
+    pred = {
+        None: lambda w: True,
+        "one-ge5": lambda w: sum(1 for s in census_sides(n, w) if s >= 5) == 1,
+        "im": lambda w: is_in_Im(WiringDiagram(n, w)).member,
+    }[filter]
+    for w in raw_words(n):
+        if pred(w):
+            cert = canonical_form(WiringDiagram(n, w))
+            if cert not in seen:
+                seen.add(cert)
+                expected.append(w)
+    got = [d.swaps for d in enumerate_simple(n, filter=filter, dedup=True)]
+    assert got == expected
 
 
 def test_filter_one_ge5():

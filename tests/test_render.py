@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+import pytest
+
+from pseudoline.errors import TooFewLines
 from pseudoline.lines import Line, LineArrangement
 from pseudoline.render import render_diagram, render_lines
 from pseudoline.wiring import validate_wiring
@@ -30,3 +33,9 @@ def test_render_lines():
     svg = render_lines(arr)
     assert svg.startswith("<svg ")
     assert svg.count("<line") == 3
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_render_lines_needs_two_lines(k):
+    with pytest.raises(TooFewLines):
+        render_lines(LineArrangement(tuple(Line(Fraction(i), Fraction(0)) for i in range(k))))
