@@ -43,7 +43,7 @@ def _load(path: str, parse: Callable[[str], T]) -> T:
         return parse(text)
     except KeyError as exc:
         raise InputError(f"{path}: missing key {exc}") from exc
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -104,10 +104,11 @@ def cmd_necklace(args) -> int:
         for beads in enumerate_selfdual(args.m):
             print("".join(map(str, beads)))
         return 0
-    if len(args.build) != 2 * args.m:
-        print(f"error: bitstring must have {2 * args.m} beads", file=sys.stderr)
+    try:
+        arr, d = build_arrangement(args.m, args.build)
+    except ValueError as exc:  # beads that are not a self-dual word of length 2m
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    arr, d = build_arrangement(args.m, args.build)
     print(_arrangement_json(arr))
     print(format_diagram(d), end="")
     return 0

@@ -70,12 +70,12 @@ class NTooLarge(PseudolineError):
     """Raw enumeration requested beyond the hard cap."""
 
 
-class DuplicateSlope(PseudolineError):
-    """Two lines share a slope (parallel lines are not allowed)."""
-
-
 class ConcurrentLines(PseudolineError):
     """Three or more lines pass through one point."""
+
+
+class DuplicateSlope(InputError):
+    """Two lines share a slope (parallel lines are not allowed)."""
 
 
 class TooFewLines(InputError):
@@ -96,3 +96,7 @@ class BaseCaseExhausted(PseudolineError):
 
 class EpsilonExhausted(PseudolineError):
     """Adaptive tilt/translation shrinking hit its cap; construction bug."""
+
+
+class WrongLabels(PseudolineError):
+    """Lines do not cross in the order their wires do; construction bug."""

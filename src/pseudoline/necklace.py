@@ -39,8 +39,14 @@ def totient(n: int) -> int:
     return result
 
 
+def _check_m(m: int) -> None:
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+
+
 def q_formula(m: int) -> int:
     """Number of self-dual necklaces of length 2m up to the dihedral action."""
+    _check_m(m)
     odd_sum = sum(totient(k) * 2 ** (m // k) for k in range(1, m + 1) if m % k == 0 and k % 2 == 1)
     num = 2 * m * 2 ** ((m - 1) // 2) + odd_sum
     assert num % (4 * m) == 0
@@ -62,6 +68,7 @@ def canonical_necklace(word: tuple[int, ...]) -> tuple[int, ...]:
 
 def enumerate_selfdual(m: int) -> list[tuple[int, ...]]:
     """Canonical representatives of self-dual necklaces of length 2m."""
+    _check_m(m)
     seen = set()
     for bits in range(2 ** m):
         half = tuple((bits >> i) & 1 for i in range(m))
@@ -92,7 +99,8 @@ def build_arrangement(m: int, beads: tuple[int, ...]) -> tuple[LineArrangement, 
     (>=5)-gon and the membership test must pass).
     """
     if len(beads) != 2 * m or any(beads[j] + beads[j + m] != 1 for j in range(m)):
-        raise ValueError("beads must be a self-dual word of length 2m")
+        raise ValueError(f"beads must be a self-dual word of length {2 * m}: "
+                         "bead j + m is 1 - bead j")
     eps = Fraction(1, 3)
     for _ in range(64):
         arr = _zonogon_lines(m, beads, eps)

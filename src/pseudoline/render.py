@@ -8,8 +8,8 @@ from fractions import Fraction
 
 from .cells import CellComplex, build_cell_complex
 from .embedding import GridEmbedding, grid_embedding
-from .errors import TooFewLines
-from .lines import LineArrangement, crossing_point
+from .errors import DuplicateSlope, InputError, TooFewLines
+from .lines import Line, LineArrangement, crossing_point
 from .wiring import WiringDiagram
 
 __all__ = ["render_diagram", "render_lines"]
@@ -85,11 +85,22 @@ def render_diagram(d: WiringDiagram, cx: CellComplex | None = None) -> str:
 def render_lines(arr: LineArrangement) -> str:
     """SVG of the lines, framed around all their crossings.
 
-    Raises TooFewLines for fewer than two lines, which have no crossing.
+    Raises TooFewLines for fewer than two lines, which have no crossing,
+    DuplicateSlope for parallel (or equal) lines, which have none either, and
+    InputError for coordinates beyond the range of the drawing's floats.
     """
     lines = arr.lines
     if len(lines) < 2:
         raise TooFewLines(f"need at least 2 lines to render, got {len(lines)}")
+    if len({l.slope for l in lines}) != len(lines):
+        raise DuplicateSlope("two lines share a slope and never cross")
+    try:
+        return _lines_svg(lines)
+    except OverflowError as exc:
+        raise InputError(f"coordinates too large to draw: {exc}") from exc
+
+
+def _lines_svg(lines: tuple[Line, ...]) -> str:
     xs, ys = [], []
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):

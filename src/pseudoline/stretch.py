@@ -1,11 +1,17 @@
 """Constructive stretching of diagrams whose every wire carries the (>=5)-gon.
 
-The recursion deletes one wire adjacent to the central polygon, realizes the
-remainder with straight lines, and re-inserts the wire as a line whose slope
-sits between the slopes of the lines it must separate, translated slightly
-into the region spanned by the central face.  Small instances (n <= 6) are
-realized directly: lines tangent to the unit circle at random rational
-points, resampled until the extracted diagram is isomorphic to the target.
+The recursion deletes one wire b adjacent to the central polygon, realizes the
+remainder with straight lines, and re-inserts b as a line whose slope sits
+between the slopes of the lines it must separate, translated slightly into
+the region spanned by the central face.  Each level returns the line of every
+wire, so an insertion is checked by labeled local sequences (Goodman &
+Pollack 1984): every line must cross the others in the order its wire does,
+read forwards or backwards, and a trial line is placed by its n-1 crossings
+alone.  Canonical forms appear only in the base case and in one final check
+of the whole result.  Small instances (n <= 6) are realized directly: lines
+tangent to the unit circle at random rational points (or a necklace
+arrangement for even n), resampled until the extracted diagram is isomorphic
+to the target, whose wire map then labels the lines.
 """
 
 from __future__ import annotations
@@ -23,9 +29,10 @@ from .errors import (
     EpsilonExhausted,
     NoConsecutiveTriple,
     NotInIm,
+    WrongLabels,
 )
 from .lines import Line, LineArrangement, crossing_point, lines_to_diagram
-from .isomorphism import find_isomorphism, isomorphic
+from .isomorphism import canonical_form, find_isomorphism, isomorphic
 from .wiring import WiringDiagram, induced_subarrangement
 
 __all__ = ["RealizerState", "select_insertion_frame", "realize_im", "BASE_N"]
@@ -144,12 +151,13 @@ def _tangent_sample(n: int, rng: random.Random) -> LineArrangement:
 
 
 def _realize_base(d: WiringDiagram, seed: int) -> LineArrangement:
+    target = canonical_form(d)
     if d.n % 2 == 0:
         from .necklace import build_arrangement, enumerate_selfdual
 
         for beads in enumerate_selfdual(d.n // 2):
             arr, nd = build_arrangement(d.n // 2, beads)
-            if isomorphic(nd, d):
+            if canonical_form(nd) == target:
                 return arr
     rng = random.Random(seed)
     for _ in range(20000):
@@ -158,7 +166,7 @@ def _realize_base(d: WiringDiagram, seed: int) -> LineArrangement:
             res = lines_to_diagram(arr)
         except (DuplicateSlope, ConcurrentLines):
             continue
-        if isomorphic(res.diagram, d):
+        if canonical_form(res.diagram) == target:
             return arr
     raise BaseCaseExhausted(f"no realization found for {d.swaps} with seed {seed}")
 
@@ -199,48 +207,66 @@ def _normalize_slopes(lines: list[Line], order: list[int]) -> list[Line]:
     return lines
 
 
-def _face_point(lines: list[Line], res, f: int, cx: CellComplex) -> tuple[Fraction, Fraction]:
-    """Centroid of a bounded convex face of a line arrangement."""
-    line_of_wire = {w: i for i, w in res.wire_of_line.items()}
-    pts = []
-    crossings = cx.crossings
-    seen = set()
-    for eid in cx.face_edges(f):
-        for s in cx.edge_span(eid):
-            if s is not None and s not in seen:
-                seen.add(s)
-                cr = crossings[s]
-                pts.append(crossing_point(lines[line_of_wire[cr.wire_a]],
-                                          lines[line_of_wire[cr.wire_b]]))
-    x = sum(p[0] for p in pts) / len(pts)
-    y = sum(p[1] for p in pts) / len(pts)
-    return x, y
-
-
 def realize_im(d: WiringDiagram, seed: int = 0) -> LineArrangement:
-    """Exact straight-line realization, verified isomorphic to the input."""
-    cx = build_cell_complex(d)
-    if not is_in_Im(d, cx).member:
-        raise NotInIm(f"diagram {d.swaps} has no all-wire (>=5)-gon")
+    """Exact straight-line realization, verified isomorphic to the input.
+
+    Every level knows the line of each wire, so an insertion is checked by
+    labeled local sequences alone; one canonical-form comparison of the
+    whole result against ``d`` is the final check.
+    """
+    lines, _ = _realize(d, seed, build_cell_complex(d))
+    arr = LineArrangement(tuple(lines))
+    if not isomorphic(lines_to_diagram(arr).diagram, d):
+        raise WrongLabels(f"realization of {d.swaps} is not isomorphic to it")
+    return arr
+
+
+def _realize(d: WiringDiagram, seed: int,
+             cx: CellComplex) -> tuple[list[Line], dict[int, int]]:
+    """Lines realizing ``d``, and the index of the line of each wire."""
     if d.n <= BASE_N:
-        return _realize_base(d, seed)
+        if not is_in_Im(d, cx).member:
+            raise NotInIm(f"diagram {d.swaps} has no all-wire (>=5)-gon")
+        arr = _realize_base(d, seed)
+        res = lines_to_diagram(arr)
+        iso = find_isomorphism(d, res.diagram)
+        line_of = {w: i for i, w in res.wire_of_line.items()}
+        return list(arr.lines), {w: line_of[iso.wire_map[w]] for w in range(1, d.n + 1)}
     st = select_insertion_frame(d, cx)
+    b = st.wires[1]
+    lines, line_of, corners = _realize_without(d, b, seed)
+    got = _insert(d, st, lines, line_of, corners)
+    if got is None:
+        raise EpsilonExhausted(f"insertion failed for {d.swaps}")
+    line_of[b] = len(got) - 1
+    return got, line_of
+
+
+def _realize_without(
+    d: WiringDiagram, b: int, seed: int
+) -> tuple[list[Line], dict[int, int], list[tuple[int, int]]]:
+    """Lines realizing ``d`` minus wire ``b``, the line of each other wire,
+    and the wire pairs crossing at the corners of their central face."""
+    ind = induced_subarrangement(d, [w for w in range(1, d.n + 1) if w != b])
+    sub_cx = build_cell_complex(ind.diagram)
+    lines, line_of_child = _realize(ind.diagram, seed, sub_cx)
+    wire_of_child = {v: w for w, v in ind.wire_map.items()}
+    crossings = sub_cx.crossings
+    face = sub_cx.face_edges(find_unique_ge5(sub_cx))
+    steps = {s for eid in face for s in sub_cx.edge_span(eid) if s is not None}
+    corners = [(wire_of_child[crossings[s].wire_a], wire_of_child[crossings[s].wire_b])
+               for s in sorted(steps)]
+    return lines, {w: line_of_child[v] for w, v in ind.wire_map.items()}, corners
+
+
+def _insert(d: WiringDiagram, st: RealizerState, lines: list[Line],
+            line_of: dict[int, int], corners: list[tuple[int, int]]) -> list[Line] | None:
+    """Lines realizing ``d``: ``lines`` after an affine map, then d*, the line
+    of the frame's wire b; None if no trial lands."""
     a, b, c = st.wires
-    kept = [w for w in range(1, d.n + 1) if w != b]
-    ind = induced_subarrangement(d, kept)
-    sub_arr = realize_im(ind.diagram, seed)
-
-    # fresh wire-to-line correspondence, independent of how sub_arr was built
-    res = lines_to_diagram(sub_arr)
-    iso = find_isomorphism(ind.diagram, res.diagram)
-    line_of = {w: i for i, w in res.wire_of_line.items()}
-    line_of_parent = {w: line_of[iso.wire_map[ind.wire_map[w]]] for w in kept}
-
-    lines = list(sub_arr.lines)
-    order = [line_of_parent[w] for w in (a, *st.H, c)]
+    order = [line_of[w] for w in (a, *st.H, c)]
     lines = _normalize_slopes(lines, order)
-
-    got = _insert(d, lines, order, st.k - st.t)
+    got = _place(d, b, lines, line_of, order, st.k - st.t, corners)
     if got is None and not st.H:
         # Two slopes cannot pin the plane's orientation: the sector between
         # the a* and c* directions may be the wrong one of the two at v.
@@ -248,9 +274,7 @@ def realize_im(d: WiringDiagram, seed: int = 0) -> LineArrangement:
         slopes = [lines[i].slope for i in order]
         g = _fresh_slope(lines, slopes[0], slopes[1])
         lines = _mirror(_shear_rotate(lines, g))
-        got = _insert(d, lines, order, st.k - st.t)
-    if got is None:
-        raise EpsilonExhausted(f"insertion failed for {d.swaps}")
+        got = _place(d, b, lines, line_of, order, st.k - st.t, corners)
     return got
 
 
@@ -260,30 +284,80 @@ def _fresh_slope(lines: list[Line], lo: Fraction, hi: Fraction) -> Fraction:
     return (inside[0] + inside[1]) / 2
 
 
-def _insert(d: WiringDiagram, lines: list[Line], order: list[int],
-            pos: int) -> LineArrangement | None:
-    """Insert d* between the chain slopes at ``pos`` and verify; None on failure."""
+def _cross_x(p: Line, q: Line) -> Fraction:
+    return (q.intercept - p.intercept) / (p.slope - q.slope)
+
+
+def _monotone(xs: list[Fraction]) -> int:
+    """1 if ``xs`` strictly increases, -1 if it strictly decreases, else 0."""
+    if all(p < q for p, q in zip(xs, xs[1:])):
+        return 1
+    if all(p > q for p, q in zip(xs, xs[1:])):
+        return -1
+    return 0
+
+
+def _place(d: WiringDiagram, b: int, lines: list[Line], line_of: dict[int, int],
+           order: list[int], pos: int,
+           corners: list[tuple[int, int]]) -> list[Line] | None:
+    """``lines`` plus d*, the line of wire ``b``, or None if no trial lands.
+
+    ``line_of`` maps every other wire of ``d`` to its line.  Each line must
+    cross the others at strictly monotone x in its wire's local sequence, b
+    left out, read forwards or backwards; WrongLabels otherwise.  A trial d*
+    is accepted when it crosses every line strictly between the two
+    crossings that b's crossing with that line's wire falls between, and
+    meets the lines at strictly monotone x in b's local sequence.  d* has a
+    slope between the chain slopes at ``pos`` and passes near the chain's
+    end-point crossing v, shifted towards the centroid of ``corners``, the
+    central face of ``lines``.
+    """
+    seq = d.local_sequences()
+    x_of: dict[tuple[int, int], Fraction] = {}
+
+    def cross_x(u: int, w: int) -> Fraction:
+        key = (u, w) if u < w else (w, u)
+        if key not in x_of:
+            x_of[key] = _cross_x(lines[line_of[u]], lines[line_of[w]])
+        return x_of[key]
+
+    rows: dict[int, list[Fraction]] = {}  # wire -> its crossing x's, ascending
+    slot: dict[int, int] = {}  # wire -> index of b's crossing in its row
+    for w in line_of:
+        want = [u for u in seq[w] if u != b]
+        row = [cross_x(w, u) for u in want]
+        sense = _monotone(row)
+        if not sense:
+            raise WrongLabels(f"the line of wire {w} does not meet the others in order {want}")
+        if sense > 0:
+            slot[w] = seq[w].index(b)
+        else:
+            row.reverse()
+            slot[w] = len(want) - seq[w].index(b)
+        rows[w] = row
+
     slopes = [lines[i].slope for i in order]
     assert all(slopes[i] < slopes[i + 1] for i in range(len(slopes) - 1))
     sigma = _fresh_slope(lines, slopes[pos - 1], slopes[pos])
-
     vx, vy = crossing_point(lines[order[0]], lines[order[-1]])
-    # point interior to the central face locates the target quadrant
-    res2 = lines_to_diagram(LineArrangement(tuple(lines)))
-    cx2 = build_cell_complex(res2.diagram)
-    qx, qy = _face_point(lines, res2, find_unique_ge5(cx2), cx2)
-    ux, uy = qx - vx, qy - vy
+    # a point inside the central face locates the target quadrant
+    pts = [crossing_point(lines[line_of[u]], lines[line_of[v]]) for u, v in corners]
+    ux = sum(p[0] for p in pts) / len(pts) - vx
+    uy = sum(p[1] for p in pts) / len(pts) - vy
 
     eta = Fraction(1)
     base_intercept = vy - sigma * vx
     for _ in range(64):
         d_star = Line(sigma, base_intercept + eta * (uy - sigma * ux))
-        try:
-            full = lines_to_diagram(LineArrangement(tuple(lines) + (d_star,)))
-        except ConcurrentLines:
-            eta /= 2
-            continue
-        if isomorphic(full.diagram, d):
-            return LineArrangement(tuple(lines) + (d_star,))
         eta /= 2
+        x_at: dict[int, Fraction] = {}
+        for w, i in line_of.items():
+            x = _cross_x(d_star, lines[i])
+            row, k = rows[w], slot[w]
+            if (k > 0 and not row[k - 1] < x) or (k < len(row) and not x < row[k]):
+                break
+            x_at[w] = x
+        else:
+            if _monotone([x_at[w] for w in seq[b]]):
+                return lines + [d_star]
     return None

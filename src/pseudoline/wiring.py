@@ -50,6 +50,14 @@ class WiringDiagram:
             perm[t - 1], perm[t] = v, u
         return out
 
+    def local_sequences(self) -> dict[int, tuple[int, ...]]:
+        """Per wire, the other wires in the order it crosses them, left to right."""
+        seq: dict[int, list[int]] = {w: [] for w in range(1, self.n + 1)}
+        for u, v in self.crossing_pairs():
+            seq[u].append(v)
+            seq[v].append(u)
+        return {w: tuple(s) for w, s in seq.items()}
+
     def mirror_vertical(self) -> "WiringDiagram":
         """Top-bottom reflection: track t becomes n-t."""
         return WiringDiagram(self.n, tuple(self.n - t for t in self.swaps))

@@ -41,6 +41,15 @@ def test_analyze_parse_error(tmp_path, capsys):
         (["render", "--lines", "lines.json"], '{"slope": "1", "intercept": "0"}'),
         (["render", "--lines", "lines.json"], '[{"slope": "x", "intercept": "0"}]'),
         (["render", "--lines", "lines.json"], '[{"slope": "1", "intercept": "0"}]'),
+        (["render", "--lines", "lines.json"],
+         '[{"slope": "1", "intercept": "0"}, {"slope": "1", "intercept": "2"}]'),
+        (["render", "--lines", "lines.json"],
+         '[{"slope": "1", "intercept": "0"}, {"slope": "1", "intercept": "0"}]'),
+        (["render", "--lines", "lines.json"],
+         '[{"slope": "1/0", "intercept": "0"}, {"slope": "1", "intercept": "2"}]'),
+        (["render", "--lines", "lines.json"],
+         '[{"slope": "1e400", "intercept": "0"}, {"slope": "1", "intercept": "2"}]'),
+        (["necklace", "--m", "2", "--build", "0000"], None),
     ],
 )
 def test_input_errors_exit_2(argv, content, tmp_path, monkeypatch, capsys):

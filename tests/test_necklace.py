@@ -31,6 +31,13 @@ def test_formula_matches_brute_force(m):
     assert q_formula(m) == brute_orbit_count(m)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+@pytest.mark.parametrize("fn", [q_formula, enumerate_selfdual])
+def test_m_below_1_rejected(fn, m):
+    with pytest.raises(ValueError, match=f"m must be >= 1, got {m}"):
+        fn(m)
+
+
 def test_small_counts():
     assert [q_formula(m) for m in range(2, 7)] == [1, 2, 2, 4, 5]
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from pseudoline.errors import TooFewLines
+from pseudoline.errors import DuplicateSlope, InputError, TooFewLines
 from pseudoline.lines import Line, LineArrangement
 from pseudoline.render import render_diagram, render_lines
 from pseudoline.wiring import validate_wiring
@@ -39,3 +39,11 @@ def test_render_lines():
 def test_render_lines_needs_two_lines(k):
     with pytest.raises(TooFewLines):
         render_lines(LineArrangement(tuple(Line(Fraction(i), Fraction(0)) for i in range(k))))
+
+
+@pytest.mark.parametrize("intercept", [2, 0], ids=["parallel", "equal"])
+def test_render_lines_rejects_a_shared_slope(intercept):
+    arr = LineArrangement((Line(Fraction(1), Fraction(0)), Line(Fraction(1), Fraction(intercept))))
+    with pytest.raises(DuplicateSlope) as exc:
+        render_lines(arr)
+    assert isinstance(exc.value, InputError)

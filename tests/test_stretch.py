@@ -1,12 +1,16 @@
+import itertools
+
 import pytest
 
 from pseudoline.cells import build_cell_complex
-from pseudoline.errors import NotInIm
+from pseudoline.errors import NotInIm, WrongLabels
 from pseudoline.isomorphism import isomorphic
-from pseudoline.lines import lines_to_diagram
+from pseudoline.lines import LineArrangement, lines_to_diagram
 from pseudoline.necklace import build_arrangement, enumerate_selfdual
 from pseudoline.stretch import (
     BASE_N,
+    _insert,
+    _realize_without,
     crossing_sequence,
     realize_im,
     select_insertion_frame,
@@ -14,6 +18,14 @@ from pseudoline.stretch import (
 from pseudoline.wiring import validate_wiring
 
 PENTAGON_5 = validate_wiring(5, [1, 2, 1, 3, 4, 3, 2, 1, 3, 2])
+NECKLACE_8 = build_arrangement(4, enumerate_selfdual(4)[1])[1]
+
+
+def necklace(n):
+    """The diagram of a fixed self-dual necklace arrangement of n lines."""
+    m = n // 2
+    half = tuple((j * j + j // 3) % 2 for j in range(m))
+    return build_arrangement(m, half + tuple(1 - x for x in half))[1]
 
 
 def roundtrip(d, seed=0):
@@ -82,3 +94,45 @@ def test_base_case_all_im_classes_n5():
 
     for d in enumerate_simple(5, filter="im", dedup=True):
         roundtrip(d)
+
+
+def insertion_inputs(d):
+    """The frame of ``d`` and the labeled lines of ``d`` without its wire b."""
+    st = select_insertion_frame(d)
+    return (st, *_realize_without(d, st.wires[1], seed=0))
+
+
+def test_insert_with_correct_labels():
+    st, lines, line_of, corners = insertion_inputs(NECKLACE_8)
+    got = _insert(NECKLACE_8, st, lines, line_of, corners)
+    assert got is not None and len(got) == 8
+    assert isomorphic(lines_to_diagram(LineArrangement(tuple(got))).diagram, NECKLACE_8)
+
+
+def test_insert_rejects_swapped_labels():
+    st, lines, line_of, corners = insertion_inputs(NECKLACE_8)
+    a, b, c = st.wires
+    chain = {a, c, *st.H}
+    for u, v in itertools.combinations(sorted(line_of), 2):
+        swapped = dict(line_of)
+        swapped[u], swapped[v] = line_of[v], line_of[u]
+        if not {u, v} & chain:
+            with pytest.raises(WrongLabels):
+                _insert(NECKLACE_8, st, lines, swapped, corners)
+            continue
+        # moving a line of the slope chain may already trip _normalize_slopes
+        try:
+            got = _insert(NECKLACE_8, st, lines, swapped, corners)
+        except (WrongLabels, AssertionError):
+            continue
+        assert got is None, (u, v)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_realize_n8_seeds(seed):
+    assert roundtrip(NECKLACE_8, seed=seed).n == 8
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_realize_necklace_roundtrip(n):
+    assert roundtrip(necklace(n)).n == n
