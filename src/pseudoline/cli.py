@@ -106,7 +106,7 @@ def cmd_necklace(args) -> int:
         return 0
     try:
         arr, d = build_arrangement(args.m, args.build)
-    except ValueError as exc:  # beads that are not a self-dual word of length 2m
+    except ValueError as exc:  # m < 2, or beads that are not a self-dual word of length 2m
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(_arrangement_json(arr))
@@ -196,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--filter", choices=["one-ge5", "im"])
     p.add_argument("--dedup", action="store_true")
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("necklace", help="self-dual necklaces and their arrangements")
@@ -219,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("verify", help="run all invariant suites over an enumeration")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(fn=cmd_verify)
 
     args = ap.parse_args(argv)

@@ -7,9 +7,9 @@ such swaps describe the same arrangement.  With ``classes=True`` the search
 also prunes every word that is not the lex-smallest of its commutation class
 (its normal form; Anisimov & Knuth 1979, Cartier & Foata 1969), so it yields
 one word per arrangement: 62 instead of 768 at n = 5 (OEIS A006245 vs
-A005118).  Dedup mode keeps one representative per canonical incidence
-certificate, and reads only normal forms, because the lex-first word of an
-isomorphism class is one.
+A005118).  Dedup mode keeps one representative per canonical form (see
+``isomorphism``), and reads only normal forms, because the lex-first word of
+an isomorphism class is one.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .analysis import is_in_Im
-from .cells import CellComplex
 from .errors import NTooLarge
 from .isomorphism import canonical_form
 from .sweep import census_sides

@@ -1,138 +1,114 @@
-"""Cell-decomposition isomorphism via canonical incidence certificates.
+"""Isomorphism of arrangements by canonical markings.
 
 Two arrangements are combinatorially equivalent when there is an incidence
 and dimension preserving bijection between their cell decompositions,
-unbounded cells included.  We canonically label the incidence graph (nodes =
-cells coloured by dimension, arcs = incidence between consecutive
-dimensions) by iterative refinement with backtracking, and compare the
-resulting certificates.  Certificate equality is therefore an equivalence
-relation and is invariant under any relabeling, including the two sweep
-reflections of the wiring encoding.
+unbounded cells included.  The 2n unbounded cells lie in a cycle around
+infinity, and such a bijection maps that cycle by a rotation or a
+reflection, so an arrangement has 4n markings: a choice of the top
+unbounded cell, times a mirror.  Each marking is a wiring diagram, rebuilt
+from the local sequences (the order in which each wire crosses the others;
+Goodman & Pollack 1984, Felsner ch. 6).  Moving the top cell one step on
+moves the top wire to the bottom of the left order and reverses its local
+sequence; the mirror reads the left order bottom to top.  The canonical
+form is the least lex-normal word over the 4n markings, a complete
+invariant computed with O(n^3) integer work, and ``find_isomorphism`` pairs
+the wires of two best markings position by position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cells import CellComplex
 from .wiring import WiringDiagram
 
 __all__ = [
     "CanonicalCertificate",
+    "CellIso",
     "canonical_form",
     "isomorphic",
     "find_isomorphism",
-    "incidence_graph",
 ]
 
 
-@dataclass(frozen=True)
-class CanonicalCertificate:
-    data: tuple
+class CanonicalCertificate(NamedTuple):
+    """The wire count and the least lex-normal word over all markings."""
 
-    def __lt__(self, other):
-        return self.data < other.data
+    n: int
+    word: tuple[int, ...]
 
 
-def incidence_graph(cx: CellComplex):
-    """Adjacency lists + dimension colours for the cell incidence graph.
+class _Marking(NamedTuple):
+    word: tuple[int, ...]
+    order: list[int]  # wires at the left, top to bottom
+    flipped: list[bool]  # per wire: read right to left
+    mirrored: bool  # the marking reflects the plane
 
-    Node ids: crossings 0..V-1, then edge cells V..V+E-1, then faces.
+
+def _word(order: list[int], seqs: list[tuple[int, ...]],
+          best: tuple[int, ...] | None) -> tuple[int, ...] | None:
+    """The lex-normal word of a marking, or None once it exceeds ``best``.
+
+    ``seqs[w]`` is wire w's local sequence in the marking's direction,
+    ending in a 0 that matches no wire.  A track is ready when its two wires
+    are each other's next partner; swapping the smallest ready track at
+    every step yields the least word of the commutation class.  A swap at t
+    leaves the tracks below t - 1 as they were, not ready, so the search for
+    the next one starts at t - 1: O(n^2) steps per marking.
     """
-    v, e = cx.num_vertices, cx.num_edges
-    total = v + e + cx.num_faces
-    adj: list[list[int]] = [[] for _ in range(total)]
-    colors = [0] * v + [1] * e + [2] * cx.num_faces
-    for eid in range(e):
-        ge = v + eid
-        for s in cx.edge_span(eid):
-            if s is not None:
-                adj[ge].append(s)
-                adj[s].append(ge)
-        for f in (cx.sw.upper_face[eid], cx.sw.lower_face[eid]):
-            gf = v + e + f
-            adj[ge].append(gf)
-            adj[gf].append(ge)
-    return adj, colors
+    n = len(order)
+    perm = list(order)
+    at = [0] * (n + 1)  # per wire, the index of its next partner
+    word = []
+    tied = best is not None
+    t = 1
+    for k in range(n * (n - 1) // 2):
+        last = best[k] if tied else n - 1
+        while True:
+            if t > last:
+                return None
+            u, v = perm[t - 1], perm[t]
+            if seqs[u][at[u]] == v and seqs[v][at[v]] == u:
+                break
+            t += 1
+        if tied:
+            tied = t == last
+        word.append(t)
+        perm[t - 1], perm[t] = v, u
+        at[u] += 1
+        at[v] += 1
+        if t > 1:
+            t -= 1
+    return tuple(word)
 
 
-def _refine(adj, colors):
-    """1-dimensional Weisfeiler-Leman colour refinement to a fixed point."""
-    colors = list(colors)
-    while True:
-        keys = [
-            (colors[i], tuple(sorted(colors[j] for j in adj[i])))
-            for i in range(len(adj))
-        ]
-        rank = {k: r for r, k in enumerate(sorted(set(keys)))}
-        new = [rank[k] for k in keys]
-        if new == colors:
-            return colors
-        colors = new
-
-
-def _certificate(adj, colors, lab):
-    inv = [0] * len(lab)
-    for node, pos in enumerate(lab):
-        inv[pos] = node
-    col = tuple(colors[inv[p]] for p in range(len(lab)))
-    arcs = set()
-    for i in range(len(adj)):
-        for j in adj[i]:
-            a, b = lab[i], lab[j]
-            arcs.add((a, b) if a < b else (b, a))
-    return (col, tuple(sorted(arcs)))
-
-
-def _canon_search(adj, colors):
-    """Minimal certificate and an achieving labeling (node -> position)."""
-    colors = _refine(adj, colors)
-    classes: dict[int, list[int]] = {}
-    for node, c in enumerate(colors):
-        classes.setdefault(c, []).append(node)
-    target = None
-    for c in sorted(classes):
-        if len(classes[c]) > 1:
-            target = classes[c]
-            break
-    if target is None:
-        lab = [0] * len(adj)
-        order = sorted(range(len(adj)), key=lambda i: colors[i])
-        for pos, node in enumerate(order):
-            lab[node] = pos
-        base = [colors[i] for i in range(len(adj))]
-        return _certificate(adj, base, lab), lab
+def _best_marking(d: WiringDiagram) -> _Marking:
+    """The first of the 4n markings whose word is least."""
+    local = d.local_sequences()
+    forward = [()] + [local[w] + (0,) for w in range(1, d.n + 1)]
+    backward = [()] + [local[w][::-1] + (0,) for w in range(1, d.n + 1)]
+    order = list(range(1, d.n + 1))
+    flipped = [False] * (d.n + 1)
     best = None
-    for v in target:
-        branched = list(colors)
-        branched[v] = -1  # individualize: strictly smaller than any colour
-        cert, lab = _canon_search(adj, branched)
-        if best is None or cert < best[0]:
-            best = (cert, lab)
+    for _ in range(2 * d.n):
+        seqs = [backward[w] if flipped[w] else forward[w] for w in range(d.n + 1)]
+        for left, mirrored in ((order, False), (order[::-1], True)):
+            word = _word(left, seqs, best.word if best else None)
+            if word is not None and (best is None or word < best.word):
+                best = _Marking(word, list(left), list(flipped), mirrored)
+        # next top cell: the top wire's left end is now its right end
+        w = order.pop(0)
+        order.append(w)
+        flipped[w] = not flipped[w]
     return best
 
 
-_cert_cache: dict[tuple[int, tuple[int, ...]], tuple] = {}
-
-
-def _canon_of_diagram(d: WiringDiagram, cx: CellComplex | None = None):
-    key = (d.n, d.swaps)
-    hit = _cert_cache.get(key)
-    if hit is None:
-        adj, colors = incidence_graph(cx if cx is not None else CellComplex(d))
-        hit = _canon_search(adj, colors)
-        _cert_cache[key] = hit
-    return hit
-
-
 def canonical_form(d: WiringDiagram) -> CanonicalCertificate:
-    cert, _ = _canon_of_diagram(d)
-    return CanonicalCertificate(cert)
+    return CanonicalCertificate(d.n, _best_marking(d).word)
 
 
 def isomorphic(d1: WiringDiagram, d2: WiringDiagram) -> bool:
-    if d1.n != d2.n:
-        return False
     return canonical_form(d1) == canonical_form(d2)
 
 
@@ -147,29 +123,33 @@ class CellIso:
 def find_isomorphism(d1: WiringDiagram, d2: WiringDiagram) -> CellIso | None:
     """An explicit cell bijection realizing equivalence, or None.
 
-    Composes the two canonical labelings.  Wires map to wires because
-    collinearity at a crossing (the pairing of opposite edges) is exactly
-    "shares no face", which any incidence isomorphism preserves.
+    Two best markings with one word are one diagram, so the wires at each
+    left position correspond.  A crossing goes to the crossing of the image
+    wires, edge j of a wire to edge j (or n-1-j, when the map reverses the
+    wire) of its image, and the face above an edge to the face above or
+    below the image edge.
     """
-    if d1.n != d2.n:
+    m1, m2 = _best_marking(d1), _best_marking(d2)
+    if m1.word != m2.word:
         return None
+    n = d1.n
+    wire_map = dict(zip(m1.order, m2.order))
     cx1, cx2 = CellComplex(d1), CellComplex(d2)
-    (cert1, lab1) = _canon_of_diagram(d1, cx1)
-    (cert2, lab2) = _canon_of_diagram(d2, cx2)
-    if cert1 != cert2:
-        return None
-    inv2 = [0] * len(lab2)
-    for node, pos in enumerate(lab2):
-        inv2[pos] = node
-    node_map = [inv2[lab1[i]] for i in range(len(lab1))]
-    v, e = cx1.num_vertices, cx1.num_edges
-    vertex_map = {s: node_map[s] for s in range(v)}
-    edge_map = {eid: node_map[v + eid] - v for eid in range(e)}
-    face_map = {f: node_map[v + e + f] - v - e for f in range(cx1.num_faces)}
-    wire_map: dict[int, int] = {}
-    for w in range(1, d1.n + 1):
-        targets = {cx2.edge_wire(edge_map[eid]) for eid in cx1.wire_edge_ids(w)}
-        assert len(targets) == 1, "incidence iso split a wire"
-        wire_map[w] = targets.pop()
-    assert len(set(wire_map.values())) == d1.n
+    vertex_map = {}
+    for (a, b), s in cx1.crossing_step.items():
+        a2, b2 = wire_map[a], wire_map[b]
+        vertex_map[s] = cx2.crossing_step[(a2, b2) if a2 < b2 else (b2, a2)]
+    up1, lo1, up2, lo2 = cx1.sw.upper_face, cx1.sw.lower_face, cx2.sw.upper_face, cx2.sw.lower_face
+    edge_map, face_map = {}, {}
+    for w, w2 in wire_map.items():
+        kept = m1.flipped[w] == m2.flipped[w2]
+        # the face on a wire's left stays on the left of its image when the
+        # map keeps both the wire's direction and the plane's orientation
+        same_side = kept == (m1.mirrored == m2.mirrored)
+        for j in range(n):
+            e = (w - 1) * n + j
+            e2 = (w2 - 1) * n + (j if kept else n - 1 - j)
+            edge_map[e] = e2
+            face_map[up1[e]] = up2[e2] if same_side else lo2[e2]
+            face_map[lo1[e]] = lo2[e2] if same_side else up2[e2]
     return CellIso(vertex_map, edge_map, face_map, wire_map)

@@ -98,6 +98,8 @@ def build_arrangement(m: int, beads: tuple[int, ...]) -> tuple[LineArrangement, 
     is a 2m-gon carried by all 2m lines (for m >= 3 that face is the unique
     (>=5)-gon and the membership test must pass).
     """
+    if m < 2:
+        raise ValueError(f"m must be >= 2, got {m}: two lines have no central face")
     if len(beads) != 2 * m or any(beads[j] + beads[j + m] != 1 for j in range(m)):
         raise ValueError(f"beads must be a self-dual word of length {2 * m}: "
                          "bead j + m is 1 - bead j")

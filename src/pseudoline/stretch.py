@@ -6,7 +6,7 @@ between the slopes of the lines it must separate, translated slightly into
 the region spanned by the central face.  Each level returns the line of every
 wire, so an insertion is checked by labeled local sequences (Goodman &
 Pollack 1984): every line must cross the others in the order its wire does,
-read forwards or backwards, and a trial line is placed by its n-1 crossings
+read forwards or backwards, and the new line is placed by its n-1 crossings
 alone.  Canonical forms appear only in the base case and in one final check
 of the whole result.  Small instances (n <= 6) are realized directly: lines
 tangent to the unit circle at random rational points (or a necklace
@@ -262,7 +262,7 @@ def _realize_without(
 def _insert(d: WiringDiagram, st: RealizerState, lines: list[Line],
             line_of: dict[int, int], corners: list[tuple[int, int]]) -> list[Line] | None:
     """Lines realizing ``d``: ``lines`` after an affine map, then d*, the line
-    of the frame's wire b; None if no trial lands."""
+    of the frame's wire b; None if no placement fits."""
     a, b, c = st.wires
     order = [line_of[w] for w in (a, *st.H, c)]
     lines = _normalize_slopes(lines, order)
@@ -300,17 +300,18 @@ def _monotone(xs: list[Fraction]) -> int:
 def _place(d: WiringDiagram, b: int, lines: list[Line], line_of: dict[int, int],
            order: list[int], pos: int,
            corners: list[tuple[int, int]]) -> list[Line] | None:
-    """``lines`` plus d*, the line of wire ``b``, or None if no trial lands.
+    """``lines`` plus d*, the line of wire ``b``, or None if no eta fits.
 
     ``line_of`` maps every other wire of ``d`` to its line.  Each line must
     cross the others at strictly monotone x in its wire's local sequence, b
-    left out, read forwards or backwards; WrongLabels otherwise.  A trial d*
-    is accepted when it crosses every line strictly between the two
-    crossings that b's crossing with that line's wire falls between, and
-    meets the lines at strictly monotone x in b's local sequence.  d* has a
-    slope between the chain slopes at ``pos`` and passes near the chain's
-    end-point crossing v, shifted towards the centroid of ``corners``, the
-    central face of ``lines``.
+    left out, read forwards or backwards; WrongLabels otherwise.  d* has a
+    slope between the chain slopes at ``pos`` and passes through the chain's
+    end-point crossing v, shifted by eta towards the centroid of
+    ``corners``, the central face of ``lines``.  It must cross every line
+    strictly between the two crossings that b's crossing with that line's
+    wire falls between, and meet the lines at strictly monotone x in b's
+    local sequence.  The slots bound eta to an open interval, and eta is
+    the largest power of two below its top, which keeps coordinates short.
     """
     seq = d.local_sequences()
     x_of: dict[tuple[int, int], Fraction] = {}
@@ -345,19 +346,36 @@ def _place(d: WiringDiagram, b: int, lines: list[Line], line_of: dict[int, int],
     ux = sum(p[0] for p in pts) / len(pts) - vx
     uy = sum(p[1] for p in pts) / len(pts) - vy
 
-    eta = Fraction(1)
-    base_intercept = vy - sigma * vx
-    for _ in range(64):
-        d_star = Line(sigma, base_intercept + eta * (uy - sigma * ux))
+    # d* = sigma*x + base + eta*shift meets the line of w at x = p + eta*q,
+    # which must fall strictly inside w's slot: each slot bound g + eta*h > 0
+    # cuts the eta in (0, 2) down to an open interval (lo, hi)
+    base = vy - sigma * vx
+    shift = uy - sigma * ux
+    lo, hi = Fraction(0), Fraction(2)
+    for w, i in line_of.items():
+        gap = sigma - lines[i].slope
+        p, q = (lines[i].intercept - base) / gap, -shift / gap
+        row, k = rows[w], slot[w]
+        bounds = []
+        if k > 0:
+            bounds.append((p - row[k - 1], q))
+        if k < len(row):
+            bounds.append((row[k] - p, -q))
+        for g, h in bounds:
+            if h > 0:
+                lo = max(lo, -g / h)
+            elif h < 0:
+                hi = min(hi, -g / h)
+            elif g <= 0:
+                return None
+    if hi <= lo:
+        return None
+    eta = Fraction(1)  # the largest power of two below hi, if it is above lo
+    while eta >= hi:
         eta /= 2
-        x_at: dict[int, Fraction] = {}
-        for w, i in line_of.items():
-            x = _cross_x(d_star, lines[i])
-            row, k = rows[w], slot[w]
-            if (k > 0 and not row[k - 1] < x) or (k < len(row) and not x < row[k]):
-                break
-            x_at[w] = x
-        else:
-            if _monotone([x_at[w] for w in seq[b]]):
-                return lines + [d_star]
-    return None
+    if eta <= lo:
+        return None
+    d_star = Line(sigma, base + eta * shift)
+    if not _monotone([_cross_x(d_star, lines[line_of[w]]) for w in seq[b]]):
+        return None
+    return lines + [d_star]

@@ -16,7 +16,7 @@ import pytest
 from pseudoline.analysis import triangle_adjacency, verify_counting_theorem
 from pseudoline.cells import build_cell_complex
 from pseudoline.enumeration import enumerate_simple, raw_words
-from pseudoline.isomorphism import canonical_form, incidence_graph, isomorphic
+from pseudoline.isomorphism import isomorphic
 from pseudoline.lines import lines_to_diagram
 from pseudoline.necklace import (
     build_arrangement,
@@ -28,6 +28,8 @@ from pseudoline.stretch import BASE_N, realize_im, select_insertion_frame
 from pseudoline.suites import ALL_CHECKS, run_checks
 from pseudoline.sweep import census_sides
 from pseudoline.wiring import WiringDiagram, induced_subarrangement
+
+from wl_oracle import incidence_graph
 
 
 def report(num, ok, detail):
@@ -287,7 +289,11 @@ def test_criterion_09_realizer_roundtrip(necklace_diagrams):
 
 
 def _vf2_class_count_n5():
-    """Independent dedup: pairwise VF2 on dimension-coloured incidence graphs."""
+    """Independent dedup: pairwise VF2 on dimension-coloured incidence graphs.
+
+    It runs on the 62 commutation classes; that every word gets its class's
+    canonical form is tested in test_isomorphism.py.
+    """
 
     def graph_of(d):
         adj, colors = incidence_graph(build_cell_complex(d))
@@ -301,7 +307,7 @@ def _vf2_class_count_n5():
 
     nm = nx.algorithms.isomorphism.categorical_node_match("dim", -1)
     reps = []  # (census signature, graph)
-    for word in raw_words(5):
+    for word in raw_words(5, classes=True):
         d = WiringDiagram(5, word)
         sig = tuple(census_sides(5, word))
         g = graph_of(d)

@@ -50,6 +50,7 @@ def test_analyze_parse_error(tmp_path, capsys):
         (["render", "--lines", "lines.json"],
          '[{"slope": "1e400", "intercept": "0"}, {"slope": "1", "intercept": "2"}]'),
         (["necklace", "--m", "2", "--build", "0000"], None),
+        (["necklace", "--m", "1", "--build", "01"], None),
     ],
 )
 def test_input_errors_exit_2(argv, content, tmp_path, monkeypatch, capsys):
@@ -128,6 +129,15 @@ def test_necklace_usage_errors_exit_2(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "enumerate"])
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_jobs_usage_errors_exit_2(command, jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "4", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_realize_roundtrip(tmp_path, capsys):

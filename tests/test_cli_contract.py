@@ -9,6 +9,10 @@ import sys
 from hypothesis import given, settings, strategies as st
 
 from pseudoline.cli import main
+from pseudoline.enumeration import enumerate_simple
+from pseudoline.wiring import format_diagram
+
+from test_wiring import valid_diagrams
 
 CONTRACT = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -55,5 +59,27 @@ mode = st.one_of(
 @given(m_arg, mode)
 def test_necklace_contract(m, rest):
     code, err = run(["necklace", "--m", m, *rest])
+    assert "Traceback" not in err
+    assert code in (0, 1, 2), err
+
+
+def corrupt(text, at, patch):
+    """``text`` with the character at ``at`` (if any) replaced by ``patch``."""
+    return text[:at] + patch + text[at + 1:]
+
+
+# random words (n <= 7) are rarely in Im, so realize also gets the Im classes
+im_diagrams = st.sampled_from([d for n in (5, 6) for d in enumerate_simple(n, "im", dedup=True)])
+valid_text = st.one_of(valid_diagrams, im_diagrams).map(format_diagram)
+corrupted_text = st.builds(
+    corrupt, valid_text, st.integers(0, 30), st.text(alphabet="0123456789 -x\n", max_size=3)
+)
+diagram_text = st.one_of(valid_text, corrupted_text)
+
+
+@CONTRACT
+@given(st.sampled_from(["analyze", "realize", "render"]), diagram_text)
+def test_diagram_file_contract(command, text):
+    code, err = run([command, "-"], text)
     assert "Traceback" not in err
     assert code in (0, 1, 2), err
