@@ -8,8 +8,7 @@ wires.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cells import CellComplex
 from .errors import MultipleGe5Gons, NoGe5Gon, UnboundedFace
@@ -31,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FaceCensus:
+class FaceCensus(NamedTuple):
     tally: dict[int, int]  # side count -> number of bounded faces
     total: int
 
@@ -40,16 +38,14 @@ class FaceCensus:
         return self.tally.get(sides, 0)
 
 
-@dataclass(frozen=True)
-class CriticalityReport:
+class CriticalityReport(NamedTuple):
     face: int  # the (>=5)-gon P in the full complex
     wires: tuple[int, ...]  # wires carrying edges of P
     k: int
     edge_flags: dict[int, bool]  # P's boundary edge id -> critical in induced
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     n: int
     k: int
     observed_p3: int
@@ -59,8 +55,7 @@ class TheoremReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class ImResult:
+class ImResult(NamedTuple):
     member: bool
     witness: int | None  # a wire without an edge on the gon, when not a member
 
@@ -170,6 +165,8 @@ def triangle_adjacency(cx: CellComplex) -> dict[int, list[int]]:
 
 def report_json(d: WiringDiagram) -> str:
     """Stable-key JSON summary used by the CLI and golden tests."""
+    import json
+
     cx = CellComplex(d)
     census = face_census(cx)
     im = is_in_Im(d, cx)

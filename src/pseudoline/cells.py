@@ -1,38 +1,26 @@
 """Cell complexes of wiring diagrams: crossings, edges, faces, adjacency.
 
 Built by a single sweep (see ``sweep.py``).  Wires are directed left to
-right; for an edge, ``left_face`` is the face above the wire (to the left of
-the direction of travel) and ``right_face`` the face below.
+right; for an edge, ``sw.upper_face`` is the face above the wire (to the left
+of the direction of travel) and ``sw.lower_face`` the face below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .sweep import sweep_arrays
 from .wiring import WiringDiagram
 
-__all__ = ["Crossing", "Edge", "CellComplex", "build_cell_complex"]
+__all__ = ["Crossing", "CellComplex", "build_cell_complex"]
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     wire_a: int
     wire_b: int
     step: int  # 0-based sweep step; doubles as the x-coordinate
     track: int  # 1-based track of the swap
-
-
-@dataclass(frozen=True)
-class Edge:
-    id: int
-    wire: int
-    index: int  # position along the wire; 0 is the left ray, n-1 the right ray
-    left_step: int | None  # crossing step at the left endpoint, None for a ray
-    right_step: int | None
-    left_face: int  # face above the wire
-    right_face: int  # face below the wire
 
 
 class CellComplex:
@@ -40,7 +28,7 @@ class CellComplex:
 
     Immutable after construction.  Faces and edges are referred to by dense
     integer ids; the flat arrays from the sweep are the ground truth
-    and the dataclass views are built lazily.
+    and the ``Crossing`` views are built lazily.
     """
 
     def __init__(self, diagram: WiringDiagram):
@@ -64,18 +52,6 @@ class CellComplex:
         left = ws[w * (n - 1) + j - 1] if j > 0 else None
         right = ws[w * (n - 1) + j] if j < n - 1 else None
         return left, right
-
-    def edge(self, eid: int) -> Edge:
-        left, right = self.edge_span(eid)
-        return Edge(
-            eid,
-            self.edge_wire(eid),
-            eid % self.n,
-            left,
-            right,
-            self.sw.upper_face[eid],
-            self.sw.lower_face[eid],
-        )
 
     def wire_edge_ids(self, wire: int) -> range:
         return range((wire - 1) * self.n, wire * self.n)

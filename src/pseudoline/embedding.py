@@ -8,8 +8,8 @@ here ever touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cells import CellComplex
 from .errors import OnBoundary
@@ -20,8 +20,7 @@ __all__ = ["GridEmbedding", "grid_embedding", "face_containing", "extract_diagra
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class GridEmbedding:
+class GridEmbedding(NamedTuple):
     diagram: WiringDiagram
     # per wire (index w-1): tuple of breakpoints (x, y); horizontal outside
     polylines: tuple[tuple[tuple[Fraction, Fraction], ...], ...]

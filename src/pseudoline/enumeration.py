@@ -14,7 +14,6 @@ an isomorphism class is one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .analysis import is_in_Im
@@ -96,12 +95,12 @@ _FILTERS: dict[str, Callable[[int, tuple[int, ...]], bool]] = {
 }
 
 
-@dataclass
 class EnumerationStream:
-    n: int
-    filter: str | None
-    dedup: bool
-    _iter: Iterator[WiringDiagram]
+    """The diagrams of one enumeration, read once by iterating or counting."""
+
+    def __init__(self, n: int, filter: str | None, dedup: bool, it: Iterator[WiringDiagram]):
+        self.n, self.filter, self.dedup = n, filter, dedup
+        self._iter = it
 
     def __iter__(self) -> Iterator[WiringDiagram]:
         return self._iter

@@ -17,7 +17,6 @@ the wires of two best markings position by position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cells import CellComplex
@@ -112,8 +111,7 @@ def isomorphic(d1: WiringDiagram, d2: WiringDiagram) -> bool:
     return canonical_form(d1) == canonical_form(d2)
 
 
-@dataclass(frozen=True)
-class CellIso:
+class CellIso(NamedTuple):
     vertex_map: dict[int, int]
     edge_map: dict[int, int]
     face_map: dict[int, int]

@@ -7,8 +7,8 @@ crossings left to right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ConcurrentLines, DuplicateSlope
 from .wiring import WiringDiagram, validate_wiring
@@ -23,8 +23,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(NamedTuple):
     slope: Fraction
     intercept: Fraction
 
@@ -32,8 +31,7 @@ class Line:
         return self.slope * x + self.intercept
 
 
-@dataclass(frozen=True)
-class LineArrangement:
+class LineArrangement(NamedTuple):
     lines: tuple[Line, ...]
 
     @property
@@ -41,8 +39,7 @@ class LineArrangement:
         return len(self.lines)
 
 
-@dataclass(frozen=True)
-class LinesResult:
+class LinesResult(NamedTuple):
     diagram: WiringDiagram
     wire_of_line: dict[int, int]  # 0-based line index -> 1-based wire
 

@@ -17,8 +17,8 @@ to the target, whose wire map then labels the lines.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .analysis import critical_edges, find_unique_ge5, is_in_Im
 from .cells import CellComplex, build_cell_complex
@@ -40,8 +40,7 @@ __all__ = ["RealizerState", "select_insertion_frame", "realize_im", "BASE_N"]
 BASE_N = 6  # below this the recursion frame is not guaranteed to exist
 
 
-@dataclass
-class RealizerState:
+class RealizerState(NamedTuple):
     """Insertion frame: three consecutive non-critical edges of P."""
 
     diagram: WiringDiagram
@@ -64,9 +63,8 @@ def crossing_sequence(d: WiringDiagram, cx: CellComplex, P: int, w: int) -> tupl
         c = crossings[s]
         partners.append(c.wire_b if c.wire_a == w else c.wire_a)
     for eid in cx.face_edges(P):
-        e = cx.edge(eid)
-        if e.wire == w:
-            if e.left_face != P:  # P below: w must run right to left
+        if cx.edge_wire(eid) == w:
+            if cx.sw.upper_face[eid] != P:  # P below: w must run right to left
                 partners.reverse()
             return tuple(partners)
     raise ValueError(f"face {P} has no edge on wire {w}")
@@ -75,7 +73,7 @@ def crossing_sequence(d: WiringDiagram, cx: CellComplex, P: int, w: int) -> tupl
 def _try_frame(d: WiringDiagram, cx: CellComplex, P: int,
                ea: int, eb: int, ec: int) -> RealizerState | None:
     n = d.n
-    a, b, c = (cx.edge(e).wire for e in (ea, eb, ec))
+    a, b, c = (cx.edge_wire(e) for e in (ea, eb, ec))
     seq = {w: crossing_sequence(d, cx, P, w) for w in (a, b, c)}
     sa, sb, sc = seq[a], seq[b], seq[c]
     k = sa.index(c) + 1

@@ -9,7 +9,7 @@ wires ever meet at a point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     BadTrack,
@@ -29,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WiringDiagram:
+class WiringDiagram(NamedTuple):
     """A validated wiring diagram.  Construct via :func:`validate_wiring`."""
 
     n: int
@@ -95,8 +94,7 @@ def validate_wiring(n: int, swaps) -> WiringDiagram:
     return WiringDiagram(n, swaps)
 
 
-@dataclass(frozen=True)
-class InducedResult:
+class InducedResult(NamedTuple):
     """Induced subarrangement plus the crossing/wire correspondences.
 
     wire_map: parent wire id -> child wire id (kept wires only).

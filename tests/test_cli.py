@@ -1,8 +1,15 @@
+import importlib.util
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pseudoline
 from pseudoline.cli import main
+from pseudoline.enumeration import MAX_N
 
 
 def write_diagram(tmp_path, text):
@@ -93,6 +100,25 @@ def test_enumerate_n_out_of_range():
         main(["enumerate", "--n", "9", "--count-only"])
 
 
+@pytest.mark.parametrize("command", ["verify", "enumerate"])
+@pytest.mark.parametrize("n", ["0", str(MAX_N + 1), "x"])
+def test_n_usage_errors_exit_2(command, n, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", n])
+    assert exc.value.code == 2
+    assert "argument --n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mode", [[], ["--count-only", "--dedup"], ["--count-only", "--filter", "im"]]
+)
+def test_enumerate_jobs_rejected_where_it_does_not_shard(mode, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--n", "4", "--jobs", "2", *mode])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_necklace_count(capsys):
     assert main(["necklace", "--m", "5", "--count"]) == 0
     assert capsys.readouterr().out.strip() == "4"
@@ -152,6 +178,16 @@ def test_realize_rejects_non_im(tmp_path, capsys):
     assert main(["realize", path]) == 1
 
 
+def test_realize_exits_1_when_the_round_trip_fails(tmp_path, monkeypatch, capsys):
+    # realize_im's closing exact check is the only one: make it fail
+    monkeypatch.setattr("pseudoline.stretch.isomorphic", lambda d1, d2: False)
+    path = write_diagram(tmp_path, "5\n1 2 1 3 4 3 2 1 3 2\n")
+    assert main(["realize", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_render_diagram(tmp_path, capsys):
     path = write_diagram(tmp_path, "3\n1 2 1\n")
     assert main(["render", path]) == 0
@@ -183,3 +219,21 @@ def test_verify_n1(jobs, capsys):
     out = capsys.readouterr().out
     assert "diagrams checked: 1" in out
     assert "FAIL" not in out
+
+
+def test_cli_import_contract():
+    """`import pseudoline.cli` in a fresh interpreter (no site hooks) loads
+    every module the benchmark's tracer wraps, and none of the heavy stdlib
+    modules that only some commands need."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("tracer", root / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    src = Path(pseudoline.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, pseudoline.cli; print(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert not loaded & {"dataclasses", "inspect", "ast", "multiprocessing", "json"}
+    assert {f"pseudoline.{module}" for module, _ in tracer.LAYERS} <= loaded

@@ -1,5 +1,6 @@
 import pytest
 
+from pseudoline.cells import CellComplex
 from pseudoline.enumeration import raw_words
 from pseudoline.suites import ALL_CHECKS, run_checks
 from pseudoline.wiring import WiringDiagram, validate_wiring
@@ -29,3 +30,61 @@ def test_exhaustive_n5():
 def test_check_subset():
     out = run_checks(SAMPLES[0], names=["cell-formula", "counting"])
     assert set(out) == {"cell-formula", "counting"}
+
+
+
+# Each check must be able to say False: a check that always answered True
+# would pass every test above.  The six checks that read only the complex get
+# the complex of their own diagram with one sweep array tampered with.
+
+
+def unbound(f):
+    """Report face f as open towards -infinity, so it counts as unbounded."""
+    return lambda sw: {"face_open": [-1 if g == f else x for g, x in enumerate(sw.face_open)]}
+
+
+def swap_upper(e1, e2):
+    """Exchange the faces above edges e1 and e2, which moves a side between faces."""
+    def tamper(sw):
+        up = list(sw.upper_face)
+        up[e1], up[e2] = up[e2], up[e1]
+        return {"upper_face": up}
+    return tamper
+
+
+@pytest.mark.parametrize(
+    "name,n,word,tamper",
+    [
+        ("cell-formula", 3, (1, 2, 1), unbound(4)),
+        ("triangle-per-wire", 3, (1, 2, 1), unbound(4)),
+        ("counting", 5, (1, 2, 1, 3, 4, 3, 2, 1, 3, 2), unbound(6)),
+        ("criticality-bound", 4, (1, 2, 1, 3, 2, 1), unbound(5)),
+        ("im-structure", 5, (1, 2, 1, 3, 4, 3, 2, 1, 3, 2), swap_upper(0, 7)),
+        ("no-shared-triangle-edge", 4, (1, 2, 1, 3, 2, 1), swap_upper(1, 10)),
+    ],
+)
+def test_check_fails_on_a_tampered_complex(name, n, word, tamper):
+    d = validate_wiring(n, word)
+    check = ALL_CHECKS[name]
+    assert check(d, CellComplex(d)) is True
+    cx = CellComplex(d)
+    cx.sw = cx.sw._replace(**tamper(cx.sw))
+    assert check(d, cx) is False
+
+
+# The two lemma checks also read the diagram: pair it with another one's complex.
+@pytest.mark.parametrize(
+    "name,n,word,other",
+    [
+        ("triangle-region-lemma", 5,
+         (1, 2, 1, 3, 2, 1, 4, 3, 2, 1), (1, 2, 1, 3, 2, 4, 3, 2, 1, 2)),
+        ("uncrossed-edge-lemma", 6,
+         (2, 5, 4, 3, 2, 1, 2, 3, 4, 3, 5, 4, 3, 2, 3),
+         (2, 5, 4, 3, 2, 1, 2, 3, 4, 3, 2, 5, 4, 3, 2)),
+    ],
+)
+def test_lemma_check_fails_on_a_foreign_complex(name, n, word, other):
+    d, e = validate_wiring(n, word), validate_wiring(n, other)
+    check = ALL_CHECKS[name]
+    assert check(d, CellComplex(d)) is True and check(e, CellComplex(e)) is True
+    assert check(d, CellComplex(e)) is False
