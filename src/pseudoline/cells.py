@@ -53,9 +53,6 @@ class CellComplex:
         right = ws[w * (n - 1) + j] if j < n - 1 else None
         return left, right
 
-    def wire_edge_ids(self, wire: int) -> range:
-        return range((wire - 1) * self.n, wire * self.n)
-
     def wire_crossing_steps(self, wire: int) -> list[int]:
         """Steps of the crossings along ``wire``, in sweep (x) order."""
         n = self.n
@@ -88,16 +85,6 @@ class CellComplex:
         for s in range(self.num_vertices):
             a, b = sw.cross_u[s], sw.cross_v[s]
             out[(a, b) if a < b else (b, a)] = s
-        return out
-
-    def vertex_edges(self, step: int) -> list[int]:
-        """The four edges meeting at a crossing (two on each wire)."""
-        out = []
-        n = self.n
-        for w in (self.sw.cross_u[step], self.sw.cross_v[step]):
-            j = self.wire_crossing_steps(w).index(step)
-            base = (w - 1) * n
-            out.extend((base + j, base + j + 1))
         return out
 
     # -- faces ---------------------------------------------------------

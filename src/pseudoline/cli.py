@@ -74,8 +74,9 @@ def cmd_enumerate(args) -> int:
     if args.jobs > 1:  # main admits it only with --count-only, without --dedup or --filter
         from multiprocessing import Pool
 
-        with Pool(args.jobs) as pool:
-            parts = pool.starmap(_count_prefix, [(args.n, p) for p in _shards(args.n)])
+        shards = _shards(args.n)
+        with Pool(min(args.jobs, len(shards))) as pool:
+            parts = pool.starmap(_count_prefix, [(args.n, p) for p in shards])
         print(sum(parts))
         return 0
     stream = enumerate_simple(args.n, filter=args.filter, dedup=args.dedup)
@@ -152,7 +153,7 @@ def cmd_verify(args) -> int:
     if args.jobs > 1:
         from multiprocessing import Pool
 
-        with Pool(args.jobs) as pool:
+        with Pool(min(args.jobs, len(prefixes))) as pool:
             parts = pool.starmap(_verify_prefix, [(n, p) for p in prefixes])
     else:
         parts = [_verify_prefix(n, p) for p in prefixes]

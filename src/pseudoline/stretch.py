@@ -9,9 +9,9 @@ Pollack 1984): every line must cross the others in the order its wire does,
 read forwards or backwards, and the new line is placed by its n-1 crossings
 alone.  Canonical forms appear only in the base case and in one final check
 of the whole result.  Small instances (n <= 6) are realized directly: lines
-tangent to the unit circle at random rational points (or a necklace
-arrangement for even n), resampled until the extracted diagram is isomorphic
-to the target, whose wire map then labels the lines.
+tangent to the unit circle at random rational points, resampled until the
+extracted diagram is isomorphic to the target, whose wire map then labels
+the lines.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
     WrongLabels,
 )
 from .lines import Line, LineArrangement, crossing_point, lines_to_diagram
-from .isomorphism import canonical_form, find_isomorphism, isomorphic
+from .isomorphism import find_isomorphism, isomorphic
 from .wiring import WiringDiagram, induced_subarrangement
 
 __all__ = ["RealizerState", "select_insertion_frame", "realize_im", "BASE_N"]
@@ -51,30 +51,16 @@ class RealizerState(NamedTuple):
     k: int  # a_k = c
     t: int  # b_t = a
     r: int  # c_r = a
-    regions: dict[int, str]  # other wire -> "R2" | "R4"
     H: tuple[int, ...]  # a_1 .. a_{k-r-1}
 
 
-def crossing_sequence(d: WiringDiagram, cx: CellComplex, P: int, w: int) -> tuple[int, ...]:
-    """Wires in the order w crosses them, w directed with face P on its left."""
-    crossings = cx.crossings
-    partners = []
-    for s in cx.wire_crossing_steps(w):
-        c = crossings[s]
-        partners.append(c.wire_b if c.wire_a == w else c.wire_a)
-    for eid in cx.face_edges(P):
-        if cx.edge_wire(eid) == w:
-            if cx.sw.upper_face[eid] != P:  # P below: w must run right to left
-                partners.reverse()
-            return tuple(partners)
-    raise ValueError(f"face {P} has no edge on wire {w}")
-
-
-def _try_frame(d: WiringDiagram, cx: CellComplex, P: int,
+def _try_frame(d: WiringDiagram, cx: CellComplex, P: int, local: dict[int, tuple[int, ...]],
                ea: int, eb: int, ec: int) -> RealizerState | None:
     n = d.n
     a, b, c = (cx.edge_wire(e) for e in (ea, eb, ec))
-    seq = {w: crossing_sequence(d, cx, P, w) for w in (a, b, c)}
+    # ``local`` runs left to right; a wire with P below its frame edge runs backwards
+    seq = {w: local[w] if cx.sw.upper_face[e] == P else local[w][::-1]
+           for w, e in ((a, ea), (b, eb), (c, ec))}
     sa, sb, sc = seq[a], seq[b], seq[c]
     k = sa.index(c) + 1
     t = sb.index(a) + 1
@@ -103,11 +89,7 @@ def _try_frame(d: WiringDiagram, cx: CellComplex, P: int,
     for ell in range(1, k - r):
         if sc[n + r - k + ell - 1] != sa[ell - 1]:
             return None
-    regions = {w: "R2" for w in sa[: k - 2]}
-    regions.update({w: "R4" for w in sa[k:]})
-    if set(regions) != set(range(1, n + 1)) - {a, b, c}:
-        return None
-    return RealizerState(d, P, (ea, eb, ec), (a, b, c), seq, k, t, r, regions, H)
+    return RealizerState(d, P, (ea, eb, ec), (a, b, c), seq, k, t, r, H)
 
 
 def select_insertion_frame(d: WiringDiagram, cx: CellComplex | None = None) -> RealizerState:
@@ -118,14 +100,15 @@ def select_insertion_frame(d: WiringDiagram, cx: CellComplex | None = None) -> R
         raise NotInIm(f"diagram {d.swaps} has no all-wire (>=5)-gon")
     P = find_unique_ge5(cx)
     flags = critical_edges(cx, P)
-    cycle = cx.boundary_cycle(P)
+    cycle = tuple(flags)  # keyed in boundary-cycle order
+    local = d.local_sequences()
     m = len(cycle)
     for i in range(m):
         trip = tuple(cycle[(i + j) % m] for j in range(3))
         if any(flags[e] for e in trip):
             continue
         for ea, eb, ec in (trip, trip[::-1]):
-            st = _try_frame(d, cx, P, ea, eb, ec)
+            st = _try_frame(d, cx, P, local, ea, eb, ec)
             if st is not None:
                 return st
     raise NoConsecutiveTriple(f"no usable frame on face {P}")
@@ -148,15 +131,8 @@ def _tangent_sample(n: int, rng: random.Random) -> LineArrangement:
     return LineArrangement(tuple(lines))
 
 
-def _realize_base(d: WiringDiagram, seed: int) -> LineArrangement:
-    target = canonical_form(d)
-    if d.n % 2 == 0:
-        from .necklace import build_arrangement, enumerate_selfdual
-
-        for beads in enumerate_selfdual(d.n // 2):
-            arr, nd = build_arrangement(d.n // 2, beads)
-            if canonical_form(nd) == target:
-                return arr
+def _realize_base(d: WiringDiagram, seed: int) -> tuple[list[Line], dict[int, int]]:
+    """Tangent lines realizing ``d``, and the index of the line of each wire."""
     rng = random.Random(seed)
     for _ in range(20000):
         arr = _tangent_sample(d.n, rng)
@@ -164,8 +140,10 @@ def _realize_base(d: WiringDiagram, seed: int) -> LineArrangement:
             res = lines_to_diagram(arr)
         except (DuplicateSlope, ConcurrentLines):
             continue
-        if canonical_form(res.diagram) == target:
-            return arr
+        iso = find_isomorphism(d, res.diagram)
+        if iso is not None:
+            line_of = {w: i for i, w in res.wire_of_line.items()}
+            return list(arr.lines), {w: line_of[v] for w, v in iso.wire_map.items()}
     raise BaseCaseExhausted(f"no realization found for {d.swaps} with seed {seed}")
 
 
@@ -197,9 +175,7 @@ def _normalize_slopes(lines: list[Line], order: list[int]) -> list[Line]:
     assert _is_cyclic_ascending(vals)
     if any(vals[i] > vals[i + 1] for i in range(len(vals) - 1)):
         # rotate the wrap gap (vals[-1], vals[0]) off to infinity
-        inside = sorted(s for l in lines if vals[-1] <= (s := l.slope) <= vals[0])
-        g = (inside[0] + inside[1]) / 2
-        lines = _shear_rotate(lines, g)
+        lines = _shear_rotate(lines, _fresh_slope(lines, vals[-1], vals[0]))
         vals = [lines[i].slope for i in order]
     assert all(vals[i] < vals[i + 1] for i in range(len(vals) - 1))
     return lines
@@ -225,11 +201,7 @@ def _realize(d: WiringDiagram, seed: int,
     if d.n <= BASE_N:
         if not is_in_Im(d, cx).member:
             raise NotInIm(f"diagram {d.swaps} has no all-wire (>=5)-gon")
-        arr = _realize_base(d, seed)
-        res = lines_to_diagram(arr)
-        iso = find_isomorphism(d, res.diagram)
-        line_of = {w: i for i, w in res.wire_of_line.items()}
-        return list(arr.lines), {w: line_of[iso.wire_map[w]] for w in range(1, d.n + 1)}
+        return _realize_base(d, seed)
     st = select_insertion_frame(d, cx)
     b = st.wires[1]
     lines, line_of, corners = _realize_without(d, b, seed)

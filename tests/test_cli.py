@@ -166,6 +166,35 @@ def test_jobs_usage_errors_exit_2(command, jobs, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [["verify", "--n", "4"], ["enumerate", "--n", "4", "--count-only"]]
+)
+def test_jobs_is_capped_at_the_shard_count(argv, monkeypatch, capsys):
+    sizes = []
+
+    class FakePool:
+        """Records the pool size asked for and runs the shards in-process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, args):
+            return [fn(*a) for a in args]
+
+    monkeypatch.setattr("multiprocessing.Pool", FakePool)
+    assert main(argv + ["--jobs", "1"]) == 0
+    expected = capsys.readouterr().out
+    assert main(argv + ["--jobs", "1000"]) == 0
+    assert capsys.readouterr().out == expected
+    assert sizes == [3]  # n - 1 one-letter prefixes at n = 4
+
+
 def test_realize_roundtrip(tmp_path, capsys):
     path = write_diagram(tmp_path, "5\n1 2 1 3 4 3 2 1 3 2\n")
     assert main(["realize", path, "--seed", "1"]) == 0
