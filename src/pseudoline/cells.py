@@ -8,27 +8,19 @@ of the direction of travel) and ``sw.lower_face`` the face below.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import NamedTuple
 
 from .sweep import sweep_arrays
 from .wiring import WiringDiagram
 
-__all__ = ["Crossing", "CellComplex", "build_cell_complex"]
-
-
-class Crossing(NamedTuple):
-    wire_a: int
-    wire_b: int
-    step: int  # 0-based sweep step; doubles as the x-coordinate
-    track: int  # 1-based track of the swap
+__all__ = ["CellComplex", "build_cell_complex"]
 
 
 class CellComplex:
     """Incidence structure of a wiring diagram.
 
     Immutable after construction.  Faces and edges are referred to by dense
-    integer ids; the flat arrays from the sweep are the ground truth
-    and the ``Crossing`` views are built lazily.
+    integer ids; the flat arrays from the sweep are the ground truth, and
+    the per-face edge lists and the crossing-step lookup are built lazily.
     """
 
     def __init__(self, diagram: WiringDiagram):
@@ -68,14 +60,6 @@ class CellComplex:
         raise ValueError(f"face {face} not adjacent to edge {eid}")
 
     # -- crossings -----------------------------------------------------
-
-    @cached_property
-    def crossings(self) -> list[Crossing]:
-        sw = self.sw
-        return [
-            Crossing(sw.cross_u[s], sw.cross_v[s], s, sw.cross_track[s])
-            for s in range(self.num_vertices)
-        ]
 
     @cached_property
     def crossing_step(self) -> dict[tuple[int, int], int]:

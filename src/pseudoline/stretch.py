@@ -32,7 +32,7 @@ from .errors import (
     WrongLabels,
 )
 from .lines import Line, LineArrangement, crossing_point, lines_to_diagram
-from .isomorphism import find_isomorphism, isomorphic
+from .isomorphism import canonical_form, find_isomorphism, isomorphic
 from .wiring import WiringDiagram, induced_subarrangement
 
 __all__ = ["RealizerState", "select_insertion_frame", "realize_im", "BASE_N"]
@@ -134,14 +134,15 @@ def _tangent_sample(n: int, rng: random.Random) -> LineArrangement:
 def _realize_base(d: WiringDiagram, seed: int) -> tuple[list[Line], dict[int, int]]:
     """Tangent lines realizing ``d``, and the index of the line of each wire."""
     rng = random.Random(seed)
+    target = canonical_form(d)
     for _ in range(20000):
         arr = _tangent_sample(d.n, rng)
         try:
             res = lines_to_diagram(arr)
         except (DuplicateSlope, ConcurrentLines):
             continue
-        iso = find_isomorphism(d, res.diagram)
-        if iso is not None:
+        if canonical_form(res.diagram) == target:
+            iso = find_isomorphism(d, res.diagram)
             line_of = {w: i for i, w in res.wire_of_line.items()}
             return list(arr.lines), {w: line_of[v] for w, v in iso.wire_map.items()}
     raise BaseCaseExhausted(f"no realization found for {d.swaps} with seed {seed}")
@@ -221,10 +222,10 @@ def _realize_without(
     sub_cx = build_cell_complex(ind.diagram)
     lines, line_of_child = _realize(ind.diagram, seed, sub_cx)
     wire_of_child = {v: w for w, v in ind.wire_map.items()}
-    crossings = sub_cx.crossings
+    sw = sub_cx.sw
     face = sub_cx.face_edges(find_unique_ge5(sub_cx))
     steps = {s for eid in face for s in sub_cx.edge_span(eid) if s is not None}
-    corners = [(wire_of_child[crossings[s].wire_a], wire_of_child[crossings[s].wire_b])
+    corners = [(wire_of_child[sw.cross_u[s]], wire_of_child[sw.cross_v[s]])
                for s in sorted(steps)]
     return lines, {w: line_of_child[v] for w, v in ind.wire_map.items()}, corners
 

@@ -9,6 +9,7 @@ about triangular regions and uncrossed (>=5)-gon edges.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 
 from .analysis import (
@@ -84,7 +85,6 @@ def check_im_structure(d: WiringDiagram, cx: CellComplex | None = None) -> bool:
         return True
     P = find_unique_ge5(cx)
     flags = critical_edges(cx, P)
-    p_edges = set(cx.face_edges(P))
     for eid, crit in flags.items():
         if not crit:
             other = cx.twin(eid, P)
@@ -108,76 +108,79 @@ def check_no_shared_triangle_edge(d: WiringDiagram, cx: CellComplex | None = Non
     return True
 
 
-def _parent_step_of(ind) -> dict[int, int]:
-    return {child: parent for parent, child in ind.step_map.items()}
+def _faces_along(cx: CellComplex, w: int, s1: int, s2: int, above: bool) -> list[int]:
+    """The faces above (or below) wire ``w`` between its crossings at steps
+    s1 and s2: one per edge of ``w`` in that stretch."""
+    steps = cx.wire_crossing_steps(w)  # ascending
+    i, j = sorted((bisect_left(steps, s1), bisect_left(steps, s2)))
+    base = (w - 1) * cx.n
+    return (cx.sw.upper_face if above else cx.sw.lower_face)[base + i + 1 : base + j + 1]
 
 
-def _track_table(d: WiringDiagram) -> list[list[int]]:
-    """track_after[s][w] = track of wire w after the swap at step s."""
-    n = d.n
-    track = list(range(n + 1))  # track[w], index 0 unused
-    out = []
-    for t in d.swaps:
-        # wires currently at tracks t and t+1 swap
-        u = track.index(t)
-        v = track.index(t + 1)
-        track[u], track[v] = t + 1, t
-        out.append(track.copy())
-    return out
+def _triangle_region_faces(cx: CellComplex):
+    """Per (r, s1, s2, ell): the faces on ``ell`` inside the triangular
+    region T of r and the wires crossing it at the consecutive steps s1 < s2.
 
-
-def _face_in(cx: CellComplex, f: int, kept, region: int, lo: int, hi: int,
-             track_after: list[list[int]]) -> bool:
-    """Is the bounded face f of the full complex inside the face of the
-    subarrangement on ``kept`` whose region is ``region`` and whose sweep
-    interval is the open parent-step interval (lo, hi)?
-
-    The probe point of f sits at x = open + 1/3, y = 1/2 - region(f); a wire
-    is above it exactly when its track after the opening step is <= region(f).
+    T lies on the side of ``ell`` where the other wire o meets r.  Wires
+    start top to bottom in label order, so o is above ``ell`` there exactly
+    when it starts above ``ell`` and has not crossed it yet, or starts below
+    and has.
     """
     sw = cx.sw
-    s = sw.face_open[f]
-    if not lo <= s < hi:
-        return False
-    row = track_after[s]
-    rf = sw.face_region[f]
-    return sum(1 for w in kept if row[w] <= rf) == region
+    step = cx.crossing_step
+
+    def step_of(a: int, b: int) -> int:
+        return step[(a, b) if a < b else (b, a)]
+
+    for r in range(1, cx.n + 1):
+        steps = cx.wire_crossing_steps(r)
+        for s1, s2 in zip(steps, steps[1:]):
+            p = sw.cross_u[s1] + sw.cross_v[s1] - r  # r's partner at s1
+            q = sw.cross_u[s2] + sw.cross_v[s2] - r
+            for ell, o in ((p, q), (q, p)):
+                above = (o < ell) != (step_of(o, ell) < step_of(o, r))
+                yield (r, s1, s2, ell), _faces_along(cx, ell, step_of(ell, r),
+                                                     step_of(ell, o), above)
 
 
 def check_triangle_region_lemma(d: WiringDiagram, cx: CellComplex | None = None) -> bool:
     """Uncrossed edge of a triangular region T on wire r: each of the other
     two wires of T bounds a triangle face contained in T."""
     cx = cx or build_cell_complex(d)
-    if d.n < 3:
-        return True
-    adj = triangle_adjacency(cx)
-    crossings = cx.crossings
-    track_after = _track_table(d)
-    cross_step = cx.crossing_step
-    for r in range(1, d.n + 1):
-        steps = cx.wire_crossing_steps(r)
-        for s1, s2 in zip(steps, steps[1:]):
-            # consecutive crossings along r: the edge of the (p, q, r) region
-            # on r is uncrossed by construction
-            c1, c2 = crossings[s1], crossings[s2]
-            p = c1.wire_b if c1.wire_a == r else c1.wire_a
-            q = c2.wire_b if c2.wire_a == r else c2.wire_a
-            kept = (p, q, r)
-            pair = (p, q) if p < q else (q, p)
-            s_pq = cross_step[pair]
-            lo, hi = min(s1, s2, s_pq), max(s1, s2, s_pq)
-            # region of T = kept wires above the first crossing of the
-            # triple, plus one (the crossing occupies the next two tracks)
-            cf = crossings[lo]
-            t0 = cf.track
-            row = track_after[lo]
-            region = sum(1 for w in kept if w not in (cf.wire_a, cf.wire_b)
-                         and row[w] < t0) + 1
-            for ell in (p, q):
-                if not any(_face_in(cx, f, kept, region, lo, hi, track_after)
-                           for f in adj[ell]):
-                    return False
-    return True
+    return all(any(cx.face_side_count(f) == 3 for f in faces)
+               for _, faces in _triangle_region_faces(cx))
+
+
+def _uncrossed_edge_faces(d: WiringDiagram, cx: CellComplex):
+    """Per (kept, Q, uncrossed edge, neighbour edge), with Q a (>=5)-gon of
+    the subarrangement on ``kept`` and the edges two consecutive edges of Q:
+    the faces of the full arrangement inside Q along the neighbour edge.
+
+    An edge of Q is uncrossed when its stretch of the parent wire holds one
+    full edge, whose face on Q's side is then the only face listed for it.
+    """
+    n = d.n
+    for size in range(5, n):
+        for kept in combinations(range(1, n + 1), size):
+            ind = induced_subarrangement(d, list(kept))
+            if max(census_sides(size, ind.diagram.swaps), default=0) < 5:
+                continue
+            sub = build_cell_complex(ind.diagram)
+            parent_step = {child: parent for parent, child in ind.step_map.items()}
+            parent_wire = {cw: pw for pw, cw in ind.wire_map.items()}
+            for Q in sub.bounded_faces():
+                if sub.face_side_count(Q) < 5:
+                    continue
+                cycle = sub.boundary_cycle(Q)
+                along = [_faces_along(cx, parent_wire[sub.edge_wire(e)],
+                                      *(parent_step[s] for s in sub.edge_span(e)),
+                                      sub.sw.upper_face[e] == Q)
+                         for e in cycle]
+                m = len(cycle)
+                for i in range(m):
+                    if len(along[i]) == 1:
+                        for j in ((i - 1) % m, (i + 1) % m):
+                            yield (kept, Q, cycle[i], cycle[j]), along[j]
 
 
 def check_uncrossed_edge_lemma(d: WiringDiagram, cx: CellComplex | None = None) -> bool:
@@ -187,63 +190,8 @@ def check_uncrossed_edge_lemma(d: WiringDiagram, cx: CellComplex | None = None) 
     itself the statement holds with that face as its own witness, so only
     proper subsets are examined.)"""
     cx = cx or build_cell_complex(d)
-    n = d.n
-    if n < 6:
-        return True
-    ge5 = [f for f in cx.bounded_faces() if cx.face_side_count(f) >= 5]
-    track_after = _track_table(d)
-    for size in range(5, n):
-        for kept in combinations(range(1, n + 1), size):
-            ind = induced_subarrangement(d, list(kept))
-            if max(census_sides(size, ind.diagram.swaps), default=0) < 5:
-                continue
-            sub_cx = build_cell_complex(ind.diagram)
-            pstep = _parent_step_of(ind)
-            parent_wire = {cw: pw for pw, cw in ind.wire_map.items()}
-            for Q in sub_cx.bounded_faces():
-                if sub_cx.face_side_count(Q) < 5:
-                    continue
-                cycle = sub_cx.boundary_cycle(Q)
-                m = len(cycle)
-                q_lo = pstep[sub_cx.sw.face_open[Q]]
-                q_hi = pstep[sub_cx.sw.face_close[Q]]
-                q_region = sub_cx.sw.face_region[Q]
-                inside = [f for f in ge5
-                          if _face_in(cx, f, kept, q_region, q_lo, q_hi, track_after)]
-                for i in range(m):
-                    if not _edge_uncrossed(cx, sub_cx, cycle[i], parent_wire, pstep):
-                        continue
-                    for j in ((i - 1) % m, (i + 1) % m):
-                        if not _adjacent_edge_ok(cx, sub_cx, cycle[j],
-                                                 parent_wire, pstep, inside):
-                            return False
-    return True
-
-
-def _edge_uncrossed(cx, sub_cx, eid, parent_wire, pstep) -> bool:
-    l2, r2 = sub_cx.edge_span(eid)
-    w = parent_wire[sub_cx.edge_wire(eid)]
-    steps = cx.wire_crossing_steps(w)
-    i1, i2 = steps.index(pstep[l2]), steps.index(pstep[r2])
-    return abs(i1 - i2) == 1
-
-
-def _adjacent_edge_ok(cx, sub_cx, q_eid, parent_wire, pstep, inside) -> bool:
-    l2, r2 = sub_cx.edge_span(q_eid)
-    w = parent_wire[sub_cx.edge_wire(q_eid)]
-    steps = cx.wire_crossing_steps(w)
-    lo, hi = sorted((steps.index(pstep[l2]), steps.index(pstep[r2])))
-    for f in inside:
-        for eid in cx.face_edges(f):
-            if cx.edge_wire(eid) != w:
-                continue
-            a, b = cx.edge_span(eid)
-            if a is None or b is None:
-                continue
-            ia, ib = sorted((steps.index(a), steps.index(b)))
-            if lo <= ia and ib <= hi:
-                return True
-    return False
+    return all(any(cx.face_side_count(f) >= 5 for f in faces)
+               for _, faces in _uncrossed_edge_faces(d, cx))
 
 
 ALL_CHECKS = {

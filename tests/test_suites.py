@@ -1,5 +1,9 @@
+import random
+
 import pytest
 
+from lemma_oracle import triangle_region_witnesses, uncrossed_edge_witnesses
+from pseudoline import suites
 from pseudoline.cells import CellComplex
 from pseudoline.enumeration import raw_words
 from pseudoline.suites import ALL_CHECKS, run_checks
@@ -35,7 +39,8 @@ def test_check_subset():
 
 # Each check must be able to say False: a check that always answered True
 # would pass every test above.  The six checks that read only the complex get
-# the complex of their own diagram with one sweep array tampered with.
+# the complex of their own diagram with one sweep array tampered with; so does
+# the triangle-region lemma, which reads only the complex too.
 
 
 def unbound(f):
@@ -61,6 +66,7 @@ def swap_upper(e1, e2):
         ("criticality-bound", 4, (1, 2, 1, 3, 2, 1), unbound(5)),
         ("im-structure", 5, (1, 2, 1, 3, 4, 3, 2, 1, 3, 2), swap_upper(0, 7)),
         ("no-shared-triangle-edge", 4, (1, 2, 1, 3, 2, 1), swap_upper(1, 10)),
+        ("triangle-region-lemma", 3, (1, 2, 1), swap_upper(1, 3)),
     ],
 )
 def test_check_fails_on_a_tampered_complex(name, n, word, tamper):
@@ -72,15 +78,15 @@ def test_check_fails_on_a_tampered_complex(name, n, word, tamper):
     assert check(d, cx) is False
 
 
-# The two lemma checks also read the diagram: pair it with another one's complex.
+# The uncrossed-edge lemma also reads the diagram: pair it with another one's
+# complex.  The id is pinned so the case keeps its name in test reports.
 @pytest.mark.parametrize(
     "name,n,word,other",
     [
-        ("triangle-region-lemma", 5,
-         (1, 2, 1, 3, 2, 1, 4, 3, 2, 1), (1, 2, 1, 3, 2, 4, 3, 2, 1, 2)),
-        ("uncrossed-edge-lemma", 6,
-         (2, 5, 4, 3, 2, 1, 2, 3, 4, 3, 5, 4, 3, 2, 3),
-         (2, 5, 4, 3, 2, 1, 2, 3, 4, 3, 2, 5, 4, 3, 2)),
+        pytest.param("uncrossed-edge-lemma", 6,
+                     (2, 5, 4, 3, 2, 1, 2, 3, 4, 3, 5, 4, 3, 2, 3),
+                     (2, 5, 4, 3, 2, 1, 2, 3, 4, 3, 2, 5, 4, 3, 2),
+                     id="uncrossed-edge-lemma-6-word1-other1"),
     ],
 )
 def test_lemma_check_fails_on_a_foreign_complex(name, n, word, other):
@@ -88,3 +94,30 @@ def test_lemma_check_fails_on_a_foreign_complex(name, n, word, other):
     check = ALL_CHECKS[name]
     assert check(d, CellComplex(d)) is True and check(e, CellComplex(e)) is True
     assert check(d, CellComplex(e)) is False
+
+
+# The lemma checks against the probe-point oracle in ``lemma_oracle``: per
+# key, the faces that witness the lemma must be the same set.
+def _witnesses(keyed_faces, keep):
+    return {key: {f for f in faces if keep(f)} for key, faces in keyed_faces}
+
+
+def _assert_same_witnesses(d):
+    cx = CellComplex(d)
+    side = cx.face_side_count
+    got = _witnesses(suites._triangle_region_faces(cx), lambda f: side(f) == 3)
+    assert got == triangle_region_witnesses(d, cx), d
+    got = _witnesses(suites._uncrossed_edge_faces(d, cx), lambda f: side(f) >= 5)
+    assert got == uncrossed_edge_witnesses(d, cx), d
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lemma_witnesses_match_oracle_exhaustive(n):
+    for word in raw_words(n, classes=True):
+        _assert_same_witnesses(WiringDiagram(n, word))
+
+
+def test_lemma_witnesses_match_oracle_n7_sample():
+    words = list(raw_words(7, classes=True))
+    for word in random.Random(20100823).sample(words, 150):
+        _assert_same_witnesses(WiringDiagram(7, word))
