@@ -31,7 +31,8 @@ from .errors import (
     NotInIm,
     WrongLabels,
 )
-from .lines import Line, LineArrangement, crossing_point, lines_to_diagram
+from .lines import (Line, LineArrangement, crossing_key, crossing_point, integer_line,
+                    lines_to_diagram, monotone)
 from .isomorphism import canonical_form, find_isomorphism, isomorphic
 from .wiring import WiringDiagram, induced_subarrangement
 
@@ -255,19 +256,6 @@ def _fresh_slope(lines: list[Line], lo: Fraction, hi: Fraction) -> Fraction:
     return (inside[0] + inside[1]) / 2
 
 
-def _cross_x(p: Line, q: Line) -> Fraction:
-    return (q.intercept - p.intercept) / (p.slope - q.slope)
-
-
-def _monotone(xs: list[Fraction]) -> int:
-    """1 if ``xs`` strictly increases, -1 if it strictly decreases, else 0."""
-    if all(p < q for p, q in zip(xs, xs[1:])):
-        return 1
-    if all(p > q for p, q in zip(xs, xs[1:])):
-        return -1
-    return 0
-
-
 def _place(d: WiringDiagram, b: int, lines: list[Line], line_of: dict[int, int],
            order: list[int], pos: int,
            corners: list[tuple[int, int]]) -> list[Line] | None:
@@ -285,28 +273,20 @@ def _place(d: WiringDiagram, b: int, lines: list[Line], line_of: dict[int, int],
     the largest power of two below its top, which keeps coordinates short.
     """
     seq = d.local_sequences()
-    x_of: dict[tuple[int, int], Fraction] = {}
-
-    def cross_x(u: int, w: int) -> Fraction:
-        key = (u, w) if u < w else (w, u)
-        if key not in x_of:
-            x_of[key] = _cross_x(lines[line_of[u]], lines[line_of[w]])
-        return x_of[key]
-
-    rows: dict[int, list[Fraction]] = {}  # wire -> its crossing x's, ascending
-    slot: dict[int, int] = {}  # wire -> index of b's crossing in its row
-    for w in line_of:
+    abc = [integer_line(l) for l in lines]
+    slot: dict[int, tuple[Fraction | None, Fraction | None]] = {}  # x's around b's crossing
+    for w, i in line_of.items():
         want = [u for u in seq[w] if u != b]
-        row = [cross_x(w, u) for u in want]
-        sense = _monotone(row)
+        row = [crossing_key(abc[i], abc[line_of[u]]) for u in want]
+        sense = monotone(row)
         if not sense:
             raise WrongLabels(f"the line of wire {w} does not meet the others in order {want}")
-        if sense > 0:
-            slot[w] = seq[w].index(b)
-        else:
+        k = seq[w].index(b)
+        if sense < 0:
             row.reverse()
-            slot[w] = len(want) - seq[w].index(b)
-        rows[w] = row
+            k = len(want) - k
+        slot[w] = (Fraction(*row[k - 1][1:]) if k > 0 else None,
+                   Fraction(*row[k][1:]) if k < len(row) else None)
 
     slopes = [lines[i].slope for i in order]
     assert all(slopes[i] < slopes[i + 1] for i in range(len(slopes) - 1))
@@ -326,12 +306,12 @@ def _place(d: WiringDiagram, b: int, lines: list[Line], line_of: dict[int, int],
     for w, i in line_of.items():
         gap = sigma - lines[i].slope
         p, q = (lines[i].intercept - base) / gap, -shift / gap
-        row, k = rows[w], slot[w]
+        left, right = slot[w]
         bounds = []
-        if k > 0:
-            bounds.append((p - row[k - 1], q))
-        if k < len(row):
-            bounds.append((row[k] - p, -q))
+        if left is not None:
+            bounds.append((p - left, q))
+        if right is not None:
+            bounds.append((right - p, -q))
         for g, h in bounds:
             if h > 0:
                 lo = max(lo, -g / h)
@@ -347,6 +327,7 @@ def _place(d: WiringDiagram, b: int, lines: list[Line], line_of: dict[int, int],
     if eta <= lo:
         return None
     d_star = Line(sigma, base + eta * shift)
-    if not _monotone([_cross_x(d_star, lines[line_of[w]]) for w in seq[b]]):
+    star = integer_line(d_star)
+    if not monotone([crossing_key(star, abc[line_of[w]]) for w in seq[b]]):
         return None
     return lines + [d_star]
