@@ -58,6 +58,7 @@ class TheoremReport(NamedTuple):
 class ImResult(NamedTuple):
     member: bool
     witness: int | None  # a wire without an edge on the gon, when not a member
+    face: int | None = None  # the gon, when it is the only (>=5)-gon
 
 
 def face_census(cx: CellComplex) -> FaceCensus:
@@ -128,10 +129,10 @@ def is_in_Im(d: WiringDiagram, cx: CellComplex | None = None) -> ImResult:
     wires = cx.face_wires(p)
     for w in range(1, d.n + 1):
         if w not in wires:
-            return ImResult(False, w)
+            return ImResult(False, w, p)
     # membership forces the gon to be an n-gon: one edge per wire
     assert cx.face_side_count(p) == d.n
-    return ImResult(True, None)
+    return ImResult(True, None, p)
 
 
 def verify_counting_theorem(d: WiringDiagram, cx: CellComplex | None = None) -> TheoremReport:

@@ -49,11 +49,10 @@ def _read_diagram(path: str) -> WiringDiagram:
 
 
 def _arrangement_json(arr: LineArrangement) -> str:
-    import json
-
-    return json.dumps(
-        [{"slope": frac_str(l.slope), "intercept": frac_str(l.intercept)} for l in arr.lines]
-    )
+    # json.dumps' text; frac_str yields only '-', digits and '/', nothing to escape
+    return "[" + ", ".join(
+        f'{{"slope": "{frac_str(l.slope)}", "intercept": "{frac_str(l.intercept)}"}}'
+        for l in arr.lines) + "]"
 
 
 def _parse_arrangement(text: str) -> LineArrangement:

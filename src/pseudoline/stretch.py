@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import NamedTuple
 
-from .analysis import critical_edges, find_unique_ge5, is_in_Im
+from .analysis import critical_edges, is_in_Im
 from .cells import CellComplex, build_cell_complex
 from .errors import (
     BaseCaseExhausted,
@@ -31,8 +32,8 @@ from .errors import (
     NotInIm,
     WrongLabels,
 )
-from .lines import (Line, LineArrangement, crossing_key, crossing_point, integer_line,
-                    lines_to_diagram, monotone)
+from .lines import (Line, LineArrangement, crossing_key, integer_line, lines_to_diagram,
+                    monotone)
 from .isomorphism import canonical_form, find_isomorphism, isomorphic
 from .wiring import WiringDiagram, induced_subarrangement
 
@@ -53,6 +54,7 @@ class RealizerState(NamedTuple):
     t: int  # b_t = a
     r: int  # c_r = a
     H: tuple[int, ...]  # a_1 .. a_{k-r-1}
+    local: dict[int, tuple[int, ...]]  # every wire's local sequence
 
 
 def _try_frame(d: WiringDiagram, cx: CellComplex, P: int, local: dict[int, tuple[int, ...]],
@@ -90,16 +92,14 @@ def _try_frame(d: WiringDiagram, cx: CellComplex, P: int, local: dict[int, tuple
     for ell in range(1, k - r):
         if sc[n + r - k + ell - 1] != sa[ell - 1]:
             return None
-    return RealizerState(d, P, (ea, eb, ec), (a, b, c), seq, k, t, r, H)
+    return RealizerState(d, P, (ea, eb, ec), (a, b, c), seq, k, t, r, H, local)
 
 
 def select_insertion_frame(d: WiringDiagram, cx: CellComplex | None = None) -> RealizerState:
     """Pick three consecutive non-critical edges of P, in a working orientation."""
     if cx is None:
         cx = build_cell_complex(d)
-    if not is_in_Im(d, cx).member:
-        raise NotInIm(f"diagram {d.swaps} has no all-wire (>=5)-gon")
-    P = find_unique_ge5(cx)
+    P = _central_face(d, cx)
     flags = critical_edges(cx, P)
     cycle = tuple(flags)  # keyed in boundary-cycle order
     local = d.local_sequences()
@@ -113,6 +113,14 @@ def select_insertion_frame(d: WiringDiagram, cx: CellComplex | None = None) -> R
             if st is not None:
                 return st
     raise NoConsecutiveTriple(f"no usable frame on face {P}")
+
+
+def _central_face(d: WiringDiagram, cx: CellComplex) -> int:
+    """P, the (>=5)-gon on which every wire of ``d`` has an edge; NotInIm if none is."""
+    im = is_in_Im(d, cx)
+    if not im.member:
+        raise NotInIm(f"diagram {d.swaps} has no all-wire (>=5)-gon")
+    return im.face
 
 
 def _tangent_sample(n: int, rng: random.Random) -> LineArrangement:
@@ -190,7 +198,7 @@ def realize_im(d: WiringDiagram, seed: int = 0) -> LineArrangement:
     labeled local sequences alone; one canonical-form comparison of the
     whole result against ``d`` is the final check.
     """
-    lines, _ = _realize(d, seed, build_cell_complex(d))
+    _, lines, _ = _realize(d, seed, build_cell_complex(d))
     arr = LineArrangement(tuple(lines))
     if not isomorphic(lines_to_diagram(arr).diagram, d):
         raise WrongLabels(f"realization of {d.swaps} is not isomorphic to it")
@@ -198,12 +206,10 @@ def realize_im(d: WiringDiagram, seed: int = 0) -> LineArrangement:
 
 
 def _realize(d: WiringDiagram, seed: int,
-             cx: CellComplex) -> tuple[list[Line], dict[int, int]]:
-    """Lines realizing ``d``, and the index of the line of each wire."""
+             cx: CellComplex) -> tuple[int, list[Line], dict[int, int]]:
+    """P, lines realizing ``d``, and the index of the line of each wire."""
     if d.n <= BASE_N:
-        if not is_in_Im(d, cx).member:
-            raise NotInIm(f"diagram {d.swaps} has no all-wire (>=5)-gon")
-        return _realize_base(d, seed)
+        return (_central_face(d, cx), *_realize_base(d, seed))
     st = select_insertion_frame(d, cx)
     b = st.wires[1]
     lines, line_of, corners = _realize_without(d, b, seed)
@@ -211,7 +217,7 @@ def _realize(d: WiringDiagram, seed: int,
     if got is None:
         raise EpsilonExhausted(f"insertion failed for {d.swaps}")
     line_of[b] = len(got) - 1
-    return got, line_of
+    return st.P, got, line_of
 
 
 def _realize_without(
@@ -221,11 +227,10 @@ def _realize_without(
     and the wire pairs crossing at the corners of their central face."""
     ind = induced_subarrangement(d, [w for w in range(1, d.n + 1) if w != b])
     sub_cx = build_cell_complex(ind.diagram)
-    lines, line_of_child = _realize(ind.diagram, seed, sub_cx)
+    P, lines, line_of_child = _realize(ind.diagram, seed, sub_cx)
     wire_of_child = {v: w for w, v in ind.wire_map.items()}
     sw = sub_cx.sw
-    face = sub_cx.face_edges(find_unique_ge5(sub_cx))
-    steps = {s for eid in face for s in sub_cx.edge_span(eid) if s is not None}
+    steps = {s for eid in sub_cx.face_edges(P) for s in sub_cx.edge_span(eid) if s is not None}
     corners = [(wire_of_child[sw.cross_u[s]], wire_of_child[sw.cross_v[s]])
                for s in sorted(steps)]
     return lines, {w: line_of_child[v] for w, v in ind.wire_map.items()}, corners
@@ -233,12 +238,12 @@ def _realize_without(
 
 def _insert(d: WiringDiagram, st: RealizerState, lines: list[Line],
             line_of: dict[int, int], corners: list[tuple[int, int]]) -> list[Line] | None:
-    """Lines realizing ``d``: ``lines`` after an affine map, then d*, the line
-    of the frame's wire b; None if no placement fits."""
+    """Lines realizing ``d``, whose frame is ``st``: ``lines`` after an affine
+    map, then d*, the line of the frame's wire b; None if no placement fits."""
     a, b, c = st.wires
     order = [line_of[w] for w in (a, *st.H, c)]
     lines = _normalize_slopes(lines, order)
-    got = _place(d, b, lines, line_of, order, st.k - st.t, corners)
+    got = _place(st, lines, line_of, order, corners)
     if got is None and not st.H:
         # Two slopes cannot pin the plane's orientation: the sector between
         # the a* and c* directions may be the wrong one of the two at v.
@@ -246,35 +251,34 @@ def _insert(d: WiringDiagram, st: RealizerState, lines: list[Line],
         slopes = [lines[i].slope for i in order]
         g = _fresh_slope(lines, slopes[0], slopes[1])
         lines = _mirror(_shear_rotate(lines, g))
-        got = _place(d, b, lines, line_of, order, st.k - st.t, corners)
+        got = _place(st, lines, line_of, order, corners)
     return got
 
 
 def _fresh_slope(lines: list[Line], lo: Fraction, hi: Fraction) -> Fraction:
     """A slope strictly inside (lo, hi) distinct from every line's slope."""
-    inside = sorted({lo, hi} | {l.slope for l in lines if lo < l.slope < hi})
-    return (inside[0] + inside[1]) / 2
+    # Fractions compare by cross-multiplication: no gcd, no hash
+    return (lo + min((l.slope for l in lines if lo < l.slope < hi), default=hi)) / 2
 
 
-def _place(d: WiringDiagram, b: int, lines: list[Line], line_of: dict[int, int],
-           order: list[int], pos: int,
-           corners: list[tuple[int, int]]) -> list[Line] | None:
-    """``lines`` plus d*, the line of wire ``b``, or None if no eta fits.
+def _place(st: RealizerState, lines: list[Line], line_of: dict[int, int],
+           order: list[int], corners: list[tuple[int, int]]) -> list[Line] | None:
+    """``lines`` plus d*, the line of the frame's wire b, or None if no eta fits.
 
-    ``line_of`` maps every other wire of ``d`` to its line.  Each line must
-    cross the others at strictly monotone x in its wire's local sequence, b
-    left out, read forwards or backwards; WrongLabels otherwise.  d* has a
-    slope between the chain slopes at ``pos`` and passes through the chain's
-    end-point crossing v, shifted by eta towards the centroid of
+    ``line_of`` maps every other wire of st.diagram to its line.  Each line
+    must cross the others at strictly monotone x in its wire's local
+    sequence, b left out, read forwards or backwards; WrongLabels otherwise.
+    d* has a slope between the chain slopes at st.k - st.t and passes through
+    the chain's end-point crossing v, shifted by eta towards the centroid of
     ``corners``, the central face of ``lines``.  It must cross every line
     strictly between the two crossings that b's crossing with that line's
     wire falls between, and meet the lines at strictly monotone x in b's
     local sequence.  The slots bound eta to an open interval, and eta is
     the largest power of two below its top, which keeps coordinates short.
     """
-    seq = d.local_sequences()
+    seq, b, pos = st.local, st.wires[1], st.k - st.t
     abc = [integer_line(l) for l in lines]
-    slot: dict[int, tuple[Fraction | None, Fraction | None]] = {}  # x's around b's crossing
+    slot = {}  # wire -> crossings (key, p, q) left and right of b's, None past an end
     for w, i in line_of.items():
         want = [u for u in seq[w] if u != b]
         row = [crossing_key(abc[i], abc[line_of[u]]) for u in want]
@@ -285,45 +289,56 @@ def _place(d: WiringDiagram, b: int, lines: list[Line], line_of: dict[int, int],
         if sense < 0:
             row.reverse()
             k = len(want) - k
-        slot[w] = (Fraction(*row[k - 1][1:]) if k > 0 else None,
-                   Fraction(*row[k][1:]) if k < len(row) else None)
+        slot[w] = (row[k - 1] if k > 0 else None, row[k] if k < len(row) else None)
 
     slopes = [lines[i].slope for i in order]
     assert all(slopes[i] < slopes[i + 1] for i in range(len(slopes) - 1))
     sigma = _fresh_slope(lines, slopes[pos - 1], slopes[pos])
-    vx, vy = crossing_point(lines[order[0]], lines[order[-1]])
-    # a point inside the central face locates the target quadrant
-    pts = [crossing_point(lines[line_of[u]], lines[line_of[v]]) for u, v in corners]
-    ux = sum(p[0] for p in pts) / len(pts) - vx
-    uy = sum(p[1] for p in pts) / len(pts) - vy
+    sn, sd = sigma.numerator, sigma.denominator
+    # The shear (x, y) -> (x, y - sigma*x) makes d* the level line at height
+    # base + eta*shift, base the height of v and base + shift the mean height
+    # of the central face's corners; line i becomes y = (m*x + c) / bb.
+    tilt = [(a * sd - sn * bb, bb * sd, c * sd) for a, bb, c in abc]
 
-    # d* = sigma*x + base + eta*shift meets the line of w at x = p + eta*q,
-    # which must fall strictly inside w's slot: each slot bound g + eta*h > 0
-    # cuts the eta in (0, 2) down to an open interval (lo, hi)
-    base = vy - sigma * vx
-    shift = uy - sigma * ux
-    lo, hi = Fraction(0), Fraction(2)
+    def height(i: int, j: int) -> Fraction:  # of the crossing of lines i and j
+        (m, bb, c), (m2, b2, c2) = tilt[i], tilt[j]
+        return Fraction(m * c2 - m2 * c, m * b2 - m2 * bb)
+
+    base = height(order[0], order[-1])
+    shift = sum(height(line_of[u], line_of[v]) for u, v in corners) / len(corners) - base
+
+    # d* must cross the line of w inside w's slot: it passes the slot's left
+    # end above it and its right end below it where that line is steeper
+    # than sigma (m > 0), the other way round where it is flatter.  A point
+    # of height h is below d* iff h - base < eta*shift, so the top height of
+    # the ends below d* and the bottom one of those above, compared by
+    # floor(h * 2**64) and exactly on ties, cut the eta in (0, 2) to (lo, hi).
+    below, above = [], []  # (floor(h * 2**64), num, den), h = num / den
+    by_height = cmp_to_key(lambda e, f: (e[0] > f[0]) - (e[0] < f[0]) or e[1] * f[2] - f[1] * e[2])
     for w, i in line_of.items():
-        gap = sigma - lines[i].slope
-        p, q = (lines[i].intercept - base) / gap, -shift / gap
-        left, right = slot[w]
-        bounds = []
-        if left is not None:
-            bounds.append((p - left, q))
-        if right is not None:
-            bounds.append((right - p, -q))
-        for g, h in bounds:
-            if h > 0:
-                lo = max(lo, -g / h)
-            elif h < 0:
-                hi = min(hi, -g / h)
-            elif g <= 0:
-                return None
+        m, bb, c = tilt[i]
+        for end, under in zip(slot[w], (m > 0, m < 0)):
+            if end is not None:  # the crossing (key, p, q) at x = p / q
+                num, den = m * end[1] + c * end[2], bb * end[2]
+                (below if under else above).append(((num << 64) // den, num, den))
+    lo, hi = Fraction(0), Fraction(2)
+    for heights, under in ((below, True), (above, False)):
+        if heights:
+            h = Fraction(*(max if under else min)(heights, key=by_height)[1:])
+            if not shift:
+                if (h >= base) if under else (h <= base):
+                    return None
+            elif (shift > 0) == under:
+                lo = max(lo, (h - base) / shift)
+            else:
+                hi = min(hi, (h - base) / shift)
     if hi <= lo:
         return None
-    eta = Fraction(1)  # the largest power of two below hi, if it is above lo
-    while eta >= hi:
-        eta /= 2
+    # eta = 2**-e, the largest power of two below hi, if it is above lo
+    e = max(0, hi.denominator.bit_length() - hi.numerator.bit_length())
+    if hi.numerator << e <= hi.denominator:
+        e += 1
+    eta = Fraction(1, 1 << e)
     if eta <= lo:
         return None
     d_star = Line(sigma, base + eta * shift)

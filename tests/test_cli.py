@@ -1,15 +1,20 @@
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import pseudoline
-from pseudoline.cli import main
+from pseudoline.cli import _arrangement_json, main
 from pseudoline.enumeration import MAX_N
+from pseudoline.lines import Line, LineArrangement
+from pseudoline.necklace import build_arrangement
+from pseudoline.stretch import realize_im
 
 
 def write_diagram(tmp_path, text):
@@ -200,6 +205,18 @@ def test_realize_roundtrip(tmp_path, capsys):
     assert main(["realize", path, "--seed", "1"]) == 0
     arr = json.loads(capsys.readouterr().out)
     assert len(arr) == 5
+
+
+def test_arrangement_json_is_json_dumps():
+    rng = random.Random(32)
+    half = tuple(rng.randint(0, 1) for _ in range(16))
+    realized = realize_im(build_arrangement(16, half + tuple(1 - b for b in half))[1])
+    small = LineArrangement((Line(Fraction(-3, 7), Fraction(5)), Line(Fraction(0), Fraction(-12)),
+                             Line(Fraction(1), Fraction(-1, 2 ** 70))))
+    for arr in (realized, small, LineArrangement(())):
+        expected = json.dumps([{"slope": f"{l.slope}", "intercept": f"{l.intercept}"}
+                               for l in arr.lines])
+        assert _arrangement_json(arr) == expected
 
 
 def test_realize_rejects_non_im(tmp_path, capsys):

@@ -1,7 +1,11 @@
 import itertools
+import random
 
 import pytest
 
+import place_oracle
+from pseudoline import stretch
+from pseudoline.analysis import is_in_Im
 from pseudoline.cells import build_cell_complex
 from pseudoline.errors import NotInIm, WrongLabels
 from pseudoline.isomorphism import isomorphic
@@ -14,7 +18,7 @@ from pseudoline.stretch import (
     realize_im,
     select_insertion_frame,
 )
-from pseudoline.wiring import validate_wiring
+from pseudoline.wiring import induced_subarrangement, validate_wiring
 
 PENTAGON_5 = validate_wiring(5, [1, 2, 1, 3, 4, 3, 2, 1, 3, 2])
 NECKLACE_8 = build_arrangement(4, enumerate_selfdual(4)[1])[1]
@@ -38,6 +42,12 @@ def test_not_in_im_rejected():
         realize_im(validate_wiring(4, [2, 1, 3, 2, 1, 3]))
     with pytest.raises(NotInIm):
         select_insertion_frame(validate_wiring(4, [2, 1, 3, 2, 1, 3]))
+
+
+def test_non_im_base_case_is_rejected_before_sampling(monkeypatch):
+    monkeypatch.setattr(stretch, "_realize_base", lambda d, seed: pytest.fail("sampled"))
+    with pytest.raises(NotInIm):
+        realize_im(validate_wiring(4, [2, 1, 3, 2, 1, 3]))
 
 
 def test_base_case_pentagon():
@@ -141,3 +151,74 @@ def test_realize_n8_seeds(seed):
 @pytest.mark.parametrize("n", [16, 24, 48])
 def test_realize_necklace_roundtrip(n):
     assert roundtrip(necklace(n)).n == n
+
+
+def twelve_wire_cuts(seed, count):
+    """Distinct Im diagrams of 12 wires: the line pairs of 6 seeded directions
+    kept out of seeded self-dual necklace arrangements of 24 lines."""
+    rng = random.Random(seed)
+    out = {}
+    while len(out) < count:
+        half = tuple(rng.randint(0, 1) for _ in range(12))
+        arr, d = build_arrangement(12, half + tuple(1 - b for b in half))
+        wire = lines_to_diagram(arr).wire_of_line
+        dirs = rng.sample(range(12), 6)
+        sub = induced_subarrangement(d, [wire[j] for j in dirs] + [wire[j + 12] for j in dirs])
+        if is_in_Im(sub.diagram).member:
+            out.setdefault(sub.diagram.swaps, sub.diagram)
+    return list(out.values())
+
+
+@pytest.fixture
+def place_outcomes(monkeypatch):
+    """Run the Fraction oracle next to every ``_place`` call: both must return
+    the same lines or None, or raise the same exception.  Returns their outcomes."""
+    place = stretch._place
+    outcomes = []
+
+    def outcome(f, *args):
+        try:
+            return f(*args), None
+        except Exception as exc:  # compared with the oracle's, then re-raised
+            return None, exc
+
+    def both(st, lines, line_of, order, corners):
+        got, err = outcome(place, st, lines, line_of, order, corners)
+        want, want_err = outcome(place_oracle._place, st.diagram, st.wires[1], lines, line_of,
+                                 order, st.k - st.t, corners)
+        assert got == want
+        assert (type(err), getattr(err, "args", None)) == (type(want_err),
+                                                          getattr(want_err, "args", None))
+        outcomes.append(type(err) if err else got is not None)
+        if err:
+            raise err
+        return got
+
+    monkeypatch.setattr(stretch, "_place", both)
+    return outcomes
+
+
+def test_place_matches_fraction_oracle(place_outcomes):
+    for seed in range(4):
+        realize_im(NECKLACE_8, seed=seed)
+    for n in (16, 24):
+        realize_im(necklace(n))
+    for d in twelve_wire_cuts(12, 30):
+        realize_im(d)
+    # every level places its line, some only on the retry after a None
+    assert place_outcomes.count(True) == 4 * 2 + 10 + 18 + 30 * 6
+    assert False in place_outcomes
+
+
+def test_place_matches_fraction_oracle_on_swapped_labels(place_outcomes):
+    st, lines, line_of, corners = insertion_inputs(NECKLACE_8)
+    a, b, c = st.wires
+    order = [line_of[w] for w in (a, *st.H, c)]
+    lines = stretch._normalize_slopes(lines, order)
+    pairs = list(itertools.combinations(sorted(line_of), 2))
+    for u, v in pairs:
+        swapped = dict(line_of)
+        swapped[u], swapped[v] = line_of[v], line_of[u]
+        with pytest.raises(WrongLabels):
+            stretch._place(st, lines, swapped, order, corners)
+    assert place_outcomes[-len(pairs):] == [WrongLabels] * len(pairs)
