@@ -12,7 +12,6 @@ from .analysis import (
     verify_counting_theorem,
 )
 from .cells import CellComplex, build_cell_complex
-from .embedding import GridEmbedding, extract_diagram, face_containing, grid_embedding
 from .enumeration import enumerate_simple, raw_words
 from .errors import PseudolineError
 from .isomorphism import canonical_form, find_isomorphism, isomorphic
@@ -32,7 +31,6 @@ __version__ = "1.0.0"
 __all__ = [
     "WiringDiagram", "validate_wiring", "parse_diagram", "format_diagram",
     "induced_subarrangement", "CellComplex", "build_cell_complex",
-    "GridEmbedding", "grid_embedding", "face_containing", "extract_diagram",
     "face_census", "critical_edges", "criticality_k", "find_unique_ge5",
     "is_in_Im", "verify_counting_theorem", "triangle_adjacency", "report_json",
     "enumerate_simple", "raw_words", "canonical_form", "isomorphic",

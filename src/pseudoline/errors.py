@@ -46,10 +46,6 @@ class EmptySubset(PseudolineError):
     """Induced subarrangement requested on an empty wire set."""
 
 
-class OnBoundary(PseudolineError):
-    """Containment query hit a wire polyline exactly."""
-
-
 class UnboundedFace(PseudolineError):
     """Operation requires a bounded face."""
 

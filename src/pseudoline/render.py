@@ -1,13 +1,19 @@
 """SVG rendering: wiring diagrams as x-monotone polylines, straight-line
 arrangements as segments.  Presentation only — nothing here feeds back into
-the exact computations."""
+the exact computations.
+
+A diagram's wire runs as an exact grid polyline: horizontal at y = 1 - t
+while on track t, with a diagonal of width 1 centred on each of its
+crossings, the crossing at step s at x = s.
+"""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from operator import itemgetter
 
 from .cells import CellComplex, build_cell_complex
-from .embedding import GridEmbedding, grid_embedding
 from .errors import DuplicateSlope, InputError, TooFewLines
 from .lines import Line, LineArrangement, crossing_point
 from .wiring import WiringDiagram
@@ -18,6 +24,9 @@ FACE_FILL = {3: "#f4c7c3", 4: "#c3d7f4"}
 OTHER_FILL = "#c8e6c9"
 MARGIN = 1
 SCALE = 48
+HALF = Fraction(1, 2)
+
+Polyline = list[tuple[Fraction, Fraction]]  # breakpoints (x, y), x ascending
 
 
 def _fmt(v: Fraction | float) -> str:
@@ -32,17 +41,39 @@ def _svg(width: float, height: float, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def _face_polygon(cx: CellComplex, emb: GridEmbedding, f: int) -> list[tuple[Fraction, Fraction]]:
+def _wire_polylines(d: WiringDiagram, x_lo: int, x_hi: int) -> list[Polyline]:
+    """Per wire (index w-1), its polyline from x = x_lo to x = x_hi."""
+    perm = list(range(1, d.n + 1))
+    points: list[Polyline] = [[] for _ in range(d.n)]
+    for s, t in enumerate(d.swaps):
+        u, v = perm[t - 1], perm[t]
+        points[u - 1] += [(s - HALF, Fraction(1 - t)), (s + HALF, Fraction(-t))]
+        points[v - 1] += [(s - HALF, Fraction(-t)), (s + HALF, Fraction(1 - t))]
+        perm[t - 1], perm[t] = v, u
+    end_y = {w: Fraction(-i) for i, w in enumerate(perm)}
+    return [[(Fraction(x_lo), Fraction(1 - w)), *points[w - 1], (Fraction(x_hi), end_y[w])]
+            for w in range(1, d.n + 1)]
+
+
+def _polyline_y(poly: Polyline, x: Fraction) -> Fraction:
+    """Height of an x-monotone polyline at ``x`` inside its span."""
+    i = bisect_left(poly, x, key=itemgetter(0))  # the first breakpoint at or right of x
+    (x1, y1), (x2, y2) = poly[i - 1], poly[i]
+    if x2 == x or y1 == y2:
+        return y2
+    return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
+
+
+def _face_polygon(cx: CellComplex, polylines: list[Polyline], f: int) -> Polyline:
     """Boundary of a bounded face as polyline points, counter-clockwise."""
-    pts: list[tuple[Fraction, Fraction]] = []
+    pts: Polyline = []
     for eid in cx.boundary_cycle(f):
-        w = cx.edge_wire(eid)
+        poly = polylines[cx.edge_wire(eid) - 1]
         s1, s2 = cx.edge_span(eid)
         x1, x2 = Fraction(min(s1, s2)), Fraction(max(s1, s2))
-        poly = emb.polylines[w - 1]
-        seg = [(x1, emb.wire_y(w, x1))]
+        seg = [(x1, _polyline_y(poly, x1))]
         seg += [p for p in poly if x1 < p[0] < x2]
-        seg.append((x2, emb.wire_y(w, x2)))
+        seg.append((x2, _polyline_y(poly, x2)))
         if pts and pts[-1] != seg[0]:
             seg.reverse()
         if pts:
@@ -53,10 +84,10 @@ def _face_polygon(cx: CellComplex, emb: GridEmbedding, f: int) -> list[tuple[Fra
 
 def render_diagram(d: WiringDiagram, cx: CellComplex | None = None) -> str:
     cx = cx or build_cell_complex(d)
-    emb = grid_embedding(d, cx)
     n, steps = d.n, d.num_steps
     x_lo, x_hi = -MARGIN, steps + MARGIN
     y_lo, y_hi = -(n - 1) - MARGIN, MARGIN
+    polylines = _wire_polylines(d, x_lo, x_hi)
 
     def tx(x):
         return (float(x) - x_lo) * SCALE
@@ -66,16 +97,12 @@ def render_diagram(d: WiringDiagram, cx: CellComplex | None = None) -> str:
 
     body = []
     for f in cx.bounded_faces():
-        pts = _face_polygon(cx, emb, f)
+        pts = _face_polygon(cx, polylines, f)
         fill = FACE_FILL.get(cx.face_side_count(f), OTHER_FILL)
         coords = " ".join(f"{_fmt(tx(x))},{_fmt(ty(y))}" for x, y in pts)
         body.append(f'<polygon points="{coords}" fill="{fill}" stroke="none" '
                     f'class="face side-{cx.face_side_count(f)}"/>')
-    for w in range(1, n + 1):
-        poly = emb.polylines[w - 1]
-        pts = [(Fraction(x_lo), emb.wire_y(w, Fraction(x_lo)))]
-        pts += list(poly)
-        pts.append((Fraction(x_hi), emb.wire_y(w, Fraction(x_hi))))
+    for w, pts in enumerate(polylines, 1):
         coords = " ".join(f"{_fmt(tx(x))},{_fmt(ty(y))}" for x, y in pts)
         body.append(f'<polyline points="{coords}" fill="none" stroke="#333" '
                     f'stroke-width="2" class="wire wire-{w}"/>')

@@ -177,12 +177,17 @@ def _is_cyclic_ascending(vals: list[Fraction]) -> bool:
 
 
 def _normalize_slopes(lines: list[Line], order: list[int]) -> list[Line]:
-    """Affine moves until the lines listed in ``order`` have ascending slopes."""
+    """Affine moves until the lines listed in ``order`` have ascending slopes.
+
+    Raises WrongLabels when their slopes are in no cyclic order, either way
+    round: the lines are not those of the chain's wires.
+    """
     vals = [lines[i].slope for i in order]
     if not _is_cyclic_ascending(vals):
         lines = _mirror(lines)
         vals = [lines[i].slope for i in order]
-    assert _is_cyclic_ascending(vals)
+    if not _is_cyclic_ascending(vals):
+        raise WrongLabels(f"slopes {vals} of the chain lines are in no cyclic order")
     if any(vals[i] > vals[i + 1] for i in range(len(vals) - 1)):
         # rotate the wrap gap (vals[-1], vals[0]) off to infinity
         lines = _shear_rotate(lines, _fresh_slope(lines, vals[-1], vals[0]))

@@ -14,6 +14,7 @@ from itertools import combinations
 
 from .analysis import (
     critical_edges,
+    face_census,
     find_unique_ge5,
     is_in_Im,
     triangle_adjacency,
@@ -48,11 +49,14 @@ def check_cell_formula(d: WiringDiagram, cx: CellComplex | None = None) -> bool:
 
 
 def check_counting(d: WiringDiagram, cx: CellComplex | None = None) -> bool:
-    """Triangle/quadrilateral counts whenever there is exactly one (>=5)-gon."""
+    """Triangle/quadrilateral counts: n - 2 and (n - 2)(n - 3)/2 with no
+    (>=5)-gon (Leanos et al.; n >= 2), the paper's n - k and k + n(n - 5)/2
+    with exactly one.  Two or more (>=5)-gons go unchecked."""
     cx = cx or build_cell_complex(d)
     try:
         if find_unique_ge5(cx) is None:
-            return True
+            n, census = d.n, face_census(cx)
+            return n < 2 or (census[3], census[4]) == (n - 2, (n - 2) * (n - 3) // 2)
     except MultipleGe5Gons:
         return True
     return verify_counting_theorem(d, cx).passed

@@ -13,8 +13,9 @@ import pseudoline
 from pseudoline.cli import _arrangement_json, main
 from pseudoline.enumeration import MAX_N
 from pseudoline.lines import Line, LineArrangement
-from pseudoline.necklace import build_arrangement
+from pseudoline.necklace import build_arrangement, enumerate_selfdual
 from pseudoline.stretch import realize_im
+from pseudoline.wiring import format_diagram
 
 
 def write_diagram(tmp_path, text):
@@ -283,3 +284,20 @@ def test_cli_import_contract():
     loaded = set(proc.stdout.split())
     assert not loaded & {"dataclasses", "inspect", "ast", "multiprocessing", "json"}
     assert {f"pseudoline.{module}" for module, _ in tracer.LAYERS} <= loaded
+
+
+@pytest.mark.parametrize("command", ["verify", "realize"])
+def test_cli_result_does_not_rest_on_asserts(command, tmp_path):
+    """`python -O` strips every assert; the exit code and output stay the same."""
+    path = tmp_path / "d.txt"
+    path.write_text(format_diagram(build_arrangement(4, enumerate_selfdual(4)[1])[1]))
+    argv = {"verify": ["verify", "--n", "4"], "realize": ["realize", str(path)]}[command]
+    src = Path(pseudoline.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, "-m", "pseudoline.cli", *argv],
+                       env=env, capture_output=True, text=True)
+        for flags in ([], ["-O"])
+    )
+    assert plain.returncode == 0, plain.stderr
+    assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from pseudoline.analysis import is_in_Im
@@ -34,6 +36,21 @@ def test_prefix_partition():
 )
 def test_class_counts(n, count):
     assert sum(1 for _ in raw_words(n, classes=True)) == count
+
+
+# Classes with 0 / 1 / >= 2 (>=5)-gons.  Those with none number
+# 2^(n-2) Cat(n-2): observed for n <= 7, not proved.
+@pytest.mark.parametrize(
+    "n,none,one,more",
+    [(2, 1, 0, 0), (3, 2, 0, 0), (4, 8, 0, 0), (5, 40, 22, 0),
+     (6, 224, 460, 224), (7, 1344, 6372, 16982)],
+)
+def test_class_counts_by_ge5_gons(n, none, one, more):
+    tally = [0, 0, 0]
+    for w in raw_words(n, classes=True):
+        tally[min(2, sum(1 for s in census_sides(n, w) if s >= 5))] += 1
+    assert tally == [none, one, more]
+    assert none == 2 ** (n - 2) * comb(2 * (n - 2), n - 2) // (n - 1)
 
 
 def test_classes_are_valid_distinct_and_sorted():

@@ -2,10 +2,46 @@ from fractions import Fraction
 
 import pytest
 
+from pseudoline.enumeration import raw_words
 from pseudoline.errors import DuplicateSlope, InputError, TooFewLines
 from pseudoline.lines import Line, LineArrangement
-from pseudoline.render import render_diagram, render_lines
-from pseudoline.wiring import validate_wiring
+from pseudoline.render import _polyline_y, _wire_polylines, render_diagram, render_lines
+from pseudoline.wiring import WiringDiagram, validate_wiring
+
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_wire_polylines_encode_the_diagram(n):
+    """Ordering the wires by height at x = s + 1/2 gives the permutation
+    after step s, for every word: the drawn wires are the diagram.  The
+    wire at track t is then at height 1 - t."""
+    steps = n * (n - 1) // 2
+    xs = [s + HALF for s in range(-1, steps)]
+    tracks = list(range(0, -n, -1))
+    for word in raw_words(n):
+        polylines = _wire_polylines(WiringDiagram(n, word), -1, steps + 1)
+        perm = list(range(1, n + 1))
+        for x, t in zip(xs, (None, *word)):
+            if t is not None:
+                perm[t - 1], perm[t] = perm[t], perm[t - 1]
+            ys = [_polyline_y(polylines[w - 1], x) for w in perm]
+            assert ys == tracks, (word, x)
+
+
+def test_wire_polylines_are_exact():
+    for poly in _wire_polylines(validate_wiring(4, [2, 1, 3, 2, 1, 3]), -1, 7):
+        for x, y in poly:
+            assert isinstance(x, Fraction) and isinstance(y, Fraction)
+
+
+def test_wire_y_monotone_pieces():
+    polylines = _wire_polylines(validate_wiring(3, [1, 2, 1]), -5, 10)
+    # wire 1 starts at the top (y=0) and ends at the bottom (y=-2)
+    assert _polyline_y(polylines[0], Fraction(-5)) == 0
+    assert _polyline_y(polylines[0], Fraction(10)) == -2
+    # it crosses wire 2 at x = 0, halfway down its first diagonal
+    assert _polyline_y(polylines[0], Fraction(0)) == -HALF
 
 
 def test_render_diagram_structure():

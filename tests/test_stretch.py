@@ -124,22 +124,14 @@ def test_insert_with_correct_labels():
 
 
 def test_insert_rejects_swapped_labels():
+    # a swap that moves a line of the slope chain stops in _normalize_slopes,
+    # the others at _place's row check; both raise WrongLabels
     st, lines, line_of, corners = insertion_inputs(NECKLACE_8)
-    a, b, c = st.wires
-    chain = {a, c, *st.H}
     for u, v in itertools.combinations(sorted(line_of), 2):
         swapped = dict(line_of)
         swapped[u], swapped[v] = line_of[v], line_of[u]
-        if not {u, v} & chain:
-            with pytest.raises(WrongLabels):
-                _insert(NECKLACE_8, st, lines, swapped, corners)
-            continue
-        # moving a line of the slope chain may already trip _normalize_slopes
-        try:
-            got = _insert(NECKLACE_8, st, lines, swapped, corners)
-        except (WrongLabels, AssertionError):
-            continue
-        assert got is None, (u, v)
+        with pytest.raises(WrongLabels):
+            _insert(NECKLACE_8, st, lines, swapped, corners)
 
 
 @pytest.mark.parametrize("seed", range(4))

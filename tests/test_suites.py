@@ -67,6 +67,10 @@ def swap_upper(e1, e2):
         ("im-structure", 5, (1, 2, 1, 3, 4, 3, 2, 1, 3, 2), swap_upper(0, 7)),
         ("no-shared-triangle-edge", 4, (1, 2, 1, 3, 2, 1), swap_upper(1, 10)),
         ("triangle-region-lemma", 3, (1, 2, 1), swap_upper(1, 3)),
+        # no (>=5)-gon: the Leanos et al. counts, a triangle (5) or the
+        # quadrilateral (6) of the n = 4 arrangement lost
+        ("counting", 4, (1, 2, 1, 3, 2, 1), unbound(5)),
+        ("counting", 4, (1, 2, 1, 3, 2, 1), unbound(6)),
     ],
 )
 def test_check_fails_on_a_tampered_complex(name, n, word, tamper):
