@@ -91,7 +91,9 @@ class BaseCaseExhausted(PseudolineError):
 
 
 class EpsilonExhausted(PseudolineError):
-    """Adaptive tilt/translation shrinking hit its cap; construction bug."""
+    """A construction found no room: the necklace tilt search hit its cap, or
+    the realizer found no open slot interval for a new line in either
+    sector; construction bug."""
 
 
 class WrongLabels(PseudolineError):

@@ -2,16 +2,18 @@
 
 The recursion deletes one wire b adjacent to the central polygon, realizes the
 remainder with straight lines, and re-inserts b as a line whose slope sits
-between the slopes of the lines it must separate, translated slightly into
-the region spanned by the central face.  Each level returns the line of every
-wire, so an insertion is checked by labeled local sequences (Goodman &
-Pollack 1984): every line must cross the others in the order its wire does,
-read forwards or backwards, and the new line is placed by its n-1 crossings
-alone.  Canonical forms appear only in the base case and in one final check
-of the whole result.  Small instances (n <= 6) are realized directly: lines
-tangent to the unit circle at random rational points, resampled until the
-extracted diagram is isomorphic to the target, whose wire map then labels
-the lines.
+between the slopes of the lines it must separate and which crosses every
+other line between the two crossings that b's crossing falls between on
+that line's wire.  Slope and intercept are each the simplest rational
+(least denominator) of an open interval, which keeps coordinates short.
+Each level returns the line of every wire, so an insertion is checked by
+labeled local sequences (Goodman & Pollack 1984): every line must cross the
+others in the order its wire does, read forwards or backwards, and the new
+line is placed by its n-1 crossings alone.  Canonical forms appear only in
+the base case and in one final check of the whole result.  Small instances
+(n <= 6) are realized directly: lines tangent to the unit circle at random
+rational points, resampled until the extracted diagram is isomorphic to the
+target, whose wire map then labels the lines.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cmp_to_key
+from math import ceil, floor
 from typing import NamedTuple
 
 from .analysis import critical_edges, is_in_Im
@@ -203,83 +206,91 @@ def realize_im(d: WiringDiagram, seed: int = 0) -> LineArrangement:
     labeled local sequences alone; one canonical-form comparison of the
     whole result against ``d`` is the final check.
     """
-    _, lines, _ = _realize(d, seed, build_cell_complex(d))
+    lines, _ = _realize(d, seed, build_cell_complex(d))
     arr = LineArrangement(tuple(lines))
     if not isomorphic(lines_to_diagram(arr).diagram, d):
         raise WrongLabels(f"realization of {d.swaps} is not isomorphic to it")
     return arr
 
 
-def _realize(d: WiringDiagram, seed: int,
-             cx: CellComplex) -> tuple[int, list[Line], dict[int, int]]:
-    """P, lines realizing ``d``, and the index of the line of each wire."""
+def _realize(d: WiringDiagram, seed: int, cx: CellComplex) -> tuple[list[Line], dict[int, int]]:
+    """Lines realizing ``d``, and the index of the line of each wire."""
     if d.n <= BASE_N:
-        return (_central_face(d, cx), *_realize_base(d, seed))
+        _central_face(d, cx)  # NotInIm before any sampling
+        return _realize_base(d, seed)
     st = select_insertion_frame(d, cx)
     b = st.wires[1]
-    lines, line_of, corners = _realize_without(d, b, seed)
-    got = _insert(d, st, lines, line_of, corners)
+    lines, line_of = _realize_without(d, b, seed)
+    got = _insert(d, st, lines, line_of)
     if got is None:
         raise EpsilonExhausted(f"insertion failed for {d.swaps}")
     line_of[b] = len(got) - 1
-    return st.P, got, line_of
+    return got, line_of
 
 
-def _realize_without(
-    d: WiringDiagram, b: int, seed: int
-) -> tuple[list[Line], dict[int, int], list[tuple[int, int]]]:
-    """Lines realizing ``d`` minus wire ``b``, the line of each other wire,
-    and the wire pairs crossing at the corners of their central face."""
+def _realize_without(d: WiringDiagram, b: int, seed: int) -> tuple[list[Line], dict[int, int]]:
+    """Lines realizing ``d`` minus wire ``b``, and the line of each other wire."""
     ind = induced_subarrangement(d, [w for w in range(1, d.n + 1) if w != b])
-    sub_cx = build_cell_complex(ind.diagram)
-    P, lines, line_of_child = _realize(ind.diagram, seed, sub_cx)
-    wire_of_child = {v: w for w, v in ind.wire_map.items()}
-    sw = sub_cx.sw
-    steps = {s for eid in sub_cx.face_edges(P) for s in sub_cx.edge_span(eid) if s is not None}
-    corners = [(wire_of_child[sw.cross_u[s]], wire_of_child[sw.cross_v[s]])
-               for s in sorted(steps)]
-    return lines, {w: line_of_child[v] for w, v in ind.wire_map.items()}, corners
+    lines, line_of_child = _realize(ind.diagram, seed, build_cell_complex(ind.diagram))
+    return lines, {w: line_of_child[v] for w, v in ind.wire_map.items()}
 
 
 def _insert(d: WiringDiagram, st: RealizerState, lines: list[Line],
-            line_of: dict[int, int], corners: list[tuple[int, int]]) -> list[Line] | None:
+            line_of: dict[int, int]) -> list[Line] | None:
     """Lines realizing ``d``, whose frame is ``st``: ``lines`` after an affine
     map, then d*, the line of the frame's wire b; None if no placement fits."""
     a, b, c = st.wires
     order = [line_of[w] for w in (a, *st.H, c)]
     lines = _normalize_slopes(lines, order)
-    got = _place(st, lines, line_of, order, corners)
+    got = _place(st, lines, line_of, order)
     if got is None and not st.H:
         # Two slopes cannot pin the plane's orientation: the sector between
-        # the a* and c* directions may be the wrong one of the two at v.
-        # Rotate that sector off to infinity and retry on the other side.
+        # the a* and c* directions may be the wrong one of the two where
+        # those lines cross.  Rotate that sector off to infinity and retry
+        # on the other side.
         slopes = [lines[i].slope for i in order]
         g = _fresh_slope(lines, slopes[0], slopes[1])
         lines = _mirror(_shear_rotate(lines, g))
-        got = _place(st, lines, line_of, order, corners)
+        got = _place(st, lines, line_of, order)
     return got
 
 
+def _simplest(lo: Fraction | None, hi: Fraction | None) -> Fraction:
+    """The rational of least denominator strictly inside (lo, hi), None an open
+    end; among integers, the one nearest 0.  Past the integer part f, the
+    descent (Stern-Brocot) writes it as f + 1/y, y the simplest in
+    (1 / (hi - f), 1 / (lo - f))."""
+    k = 0
+    if lo is not None and lo >= 0:
+        k = floor(lo) + 1
+    elif hi is not None and hi <= 0:
+        k = ceil(hi) - 1
+    if (lo is None or lo < k) and (hi is None or k < hi):
+        return Fraction(k)
+    f = floor(lo)  # an open end always admits an integer, so both are finite
+    return f + 1 / _simplest(1 / (hi - f), 1 / (lo - f) if lo != f else None)
+
+
 def _fresh_slope(lines: list[Line], lo: Fraction, hi: Fraction) -> Fraction:
-    """A slope strictly inside (lo, hi) distinct from every line's slope."""
+    """The simplest rational strictly between lo and the least of hi and the
+    line slopes above lo: a slope inside (lo, hi) unlike every line's."""
     # Fractions compare by cross-multiplication: no gcd, no hash
-    return (lo + min((l.slope for l in lines if lo < l.slope < hi), default=hi)) / 2
+    return _simplest(lo, min((l.slope for l in lines if lo < l.slope < hi), default=hi))
 
 
 def _place(st: RealizerState, lines: list[Line], line_of: dict[int, int],
-           order: list[int], corners: list[tuple[int, int]]) -> list[Line] | None:
-    """``lines`` plus d*, the line of the frame's wire b, or None if no eta fits.
+           order: list[int]) -> list[Line] | None:
+    """``lines`` plus d*, the line of the frame's wire b, or None if no intercept fits.
 
     ``line_of`` maps every other wire of st.diagram to its line.  Each line
     must cross the others at strictly monotone x in its wire's local
     sequence, b left out, read forwards or backwards; WrongLabels otherwise.
-    d* has a slope between the chain slopes at st.k - st.t and passes through
-    the chain's end-point crossing v, shifted by eta towards the centroid of
-    ``corners``, the central face of ``lines``.  It must cross every line
-    strictly between the two crossings that b's crossing with that line's
-    wire falls between, and meet the lines at strictly monotone x in b's
-    local sequence.  The slots bound eta to an open interval, and eta is
-    the largest power of two below its top, which keeps coordinates short.
+    d* has the simplest slope sigma between the chain slopes at st.k - st.t.
+    It must cross every line strictly between the two crossings that b's
+    crossing with that line's wire falls between, and meet the lines at
+    strictly monotone x in b's local sequence.  For slope sigma the slots
+    bound the intercept to an open interval, and d* takes its simplest
+    rational, which keeps coordinates short.
     """
     seq, b, pos = st.local, st.wires[1], st.k - st.t
     abc = [integer_line(l) for l in lines]
@@ -300,53 +311,27 @@ def _place(st: RealizerState, lines: list[Line], line_of: dict[int, int],
     assert all(slopes[i] < slopes[i + 1] for i in range(len(slopes) - 1))
     sigma = _fresh_slope(lines, slopes[pos - 1], slopes[pos])
     sn, sd = sigma.numerator, sigma.denominator
-    # The shear (x, y) -> (x, y - sigma*x) makes d* the level line at height
-    # base + eta*shift, base the height of v and base + shift the mean height
-    # of the central face's corners; line i becomes y = (m*x + c) / bb.
-    tilt = [(a * sd - sn * bb, bb * sd, c * sd) for a, bb, c in abc]
-
-    def height(i: int, j: int) -> Fraction:  # of the crossing of lines i and j
-        (m, bb, c), (m2, b2, c2) = tilt[i], tilt[j]
-        return Fraction(m * c2 - m2 * c, m * b2 - m2 * bb)
-
-    base = height(order[0], order[-1])
-    shift = sum(height(line_of[u], line_of[v]) for u, v in corners) / len(corners) - base
-
-    # d* must cross the line of w inside w's slot: it passes the slot's left
-    # end above it and its right end below it where that line is steeper
-    # than sigma (m > 0), the other way round where it is flatter.  A point
-    # of height h is below d* iff h - base < eta*shift, so the top height of
-    # the ends below d* and the bottom one of those above, compared by
-    # floor(h * 2**64) and exactly on ties, cut the eta in (0, 2) to (lo, hi).
+    # The shear (x, y) -> (x, y - sigma*x) makes d* the level line at its
+    # intercept, and line i the line y = (m*x + c) / bb.  d* must cross the
+    # line of w inside w's slot: it passes the slot's left end above it and
+    # its right end below it where that line is steeper than sigma (m > 0),
+    # the other way round where it is flatter.  The top height of the ends
+    # below d* and the bottom one of those above, compared by
+    # floor(h * 2**64) and exactly on ties, bound the intercept to (lo, hi).
     below, above = [], []  # (floor(h * 2**64), num, den), h = num / den
     by_height = cmp_to_key(lambda e, f: (e[0] > f[0]) - (e[0] < f[0]) or e[1] * f[2] - f[1] * e[2])
     for w, i in line_of.items():
-        m, bb, c = tilt[i]
+        a, bb, c = abc[i]
+        m, bb, c = a * sd - sn * bb, bb * sd, c * sd
         for end, under in zip(slot[w], (m > 0, m < 0)):
             if end is not None:  # the crossing (key, p, q) at x = p / q
                 num, den = m * end[1] + c * end[2], bb * end[2]
                 (below if under else above).append(((num << 64) // den, num, den))
-    lo, hi = Fraction(0), Fraction(2)
-    for heights, under in ((below, True), (above, False)):
-        if heights:
-            h = Fraction(*(max if under else min)(heights, key=by_height)[1:])
-            if not shift:
-                if (h >= base) if under else (h <= base):
-                    return None
-            elif (shift > 0) == under:
-                lo = max(lo, (h - base) / shift)
-            else:
-                hi = min(hi, (h - base) / shift)
-    if hi <= lo:
+    lo, hi = (Fraction(*pick(ends, key=by_height)[1:]) if ends else None
+              for ends, pick in ((below, max), (above, min)))
+    if lo is not None and hi is not None and hi <= lo:
         return None
-    # eta = 2**-e, the largest power of two below hi, if it is above lo
-    e = max(0, hi.denominator.bit_length() - hi.numerator.bit_length())
-    if hi.numerator << e <= hi.denominator:
-        e += 1
-    eta = Fraction(1, 1 << e)
-    if eta <= lo:
-        return None
-    d_star = Line(sigma, base + eta * shift)
+    d_star = Line(sigma, _simplest(lo, hi))
     star = integer_line(d_star)
     if not monotone([crossing_key(star, abc[line_of[w]]) for w in seq[b]]):
         return None

@@ -117,8 +117,8 @@ def insertion_inputs(d):
 
 
 def test_insert_with_correct_labels():
-    st, lines, line_of, corners = insertion_inputs(NECKLACE_8)
-    got = _insert(NECKLACE_8, st, lines, line_of, corners)
+    st, lines, line_of = insertion_inputs(NECKLACE_8)
+    got = _insert(NECKLACE_8, st, lines, line_of)
     assert got is not None and len(got) == 8
     assert isomorphic(lines_to_diagram(LineArrangement(tuple(got))).diagram, NECKLACE_8)
 
@@ -126,12 +126,12 @@ def test_insert_with_correct_labels():
 def test_insert_rejects_swapped_labels():
     # a swap that moves a line of the slope chain stops in _normalize_slopes,
     # the others at _place's row check; both raise WrongLabels
-    st, lines, line_of, corners = insertion_inputs(NECKLACE_8)
+    st, lines, line_of = insertion_inputs(NECKLACE_8)
     for u, v in itertools.combinations(sorted(line_of), 2):
         swapped = dict(line_of)
         swapped[u], swapped[v] = line_of[v], line_of[u]
         with pytest.raises(WrongLabels):
-            _insert(NECKLACE_8, st, lines, swapped, corners)
+            _insert(NECKLACE_8, st, lines, swapped)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -139,10 +139,20 @@ def test_realize_n8_seeds(seed):
     assert roundtrip(NECKLACE_8, seed=seed).n == 8
 
 
-# at n = 48 one insertion needs a shift eta as small as 2^-64
 @pytest.mark.parametrize("n", [16, 24, 48])
 def test_realize_necklace_roundtrip(n):
     assert roundtrip(necklace(n)).n == n
+
+
+def test_realize_n64_coordinates_stay_short():
+    # each slope and intercept is the simplest rational of its open interval,
+    # so no coordinate inherits the bits of the interval's ends
+    rng = random.Random(64)
+    half = tuple(rng.randint(0, 1) for _ in range(32))
+    d = build_arrangement(32, half + tuple(1 - x for x in half))[1]
+    arr = roundtrip(d)
+    assert max(max(f.numerator.bit_length(), f.denominator.bit_length())
+               for ln in arr.lines for f in ln) <= 100
 
 
 def twelve_wire_cuts(seed, count):
@@ -163,8 +173,12 @@ def twelve_wire_cuts(seed, count):
 
 @pytest.fixture
 def place_outcomes(monkeypatch):
-    """Run the Fraction oracle next to every ``_place`` call: both must return
-    the same lines or None, or raise the same exception.  Returns their outcomes."""
+    """Run the Fraction oracle next to every ``_place`` call.  Both must raise
+    the same exception, or else: sigma, d*'s slope (or, on None, the one
+    ``_place`` takes), lies strictly inside the oracle's slope interval and
+    is no line's slope; None comes exactly when no intercept fits for that
+    sigma; and d* adds one line whose intercept is strictly inside the
+    oracle's intercept interval.  Returns the outcomes."""
     place = stretch._place
     outcomes = []
 
@@ -174,16 +188,24 @@ def place_outcomes(monkeypatch):
         except Exception as exc:  # compared with the oracle's, then re-raised
             return None, exc
 
-    def both(st, lines, line_of, order, corners):
-        got, err = outcome(place, st, lines, line_of, order, corners)
-        want, want_err = outcome(place_oracle._place, st.diagram, st.wires[1], lines, line_of,
-                                 order, st.k - st.t, corners)
-        assert got == want
+    def both(st, lines, line_of, order):
+        got, err = outcome(place, st, lines, line_of, order)
+        slot, want_err = outcome(place_oracle.slots, st.diagram, st.wires[1], lines, line_of)
         assert (type(err), getattr(err, "args", None)) == (type(want_err),
                                                           getattr(want_err, "args", None))
-        outcomes.append(type(err) if err else got is not None)
         if err:
+            outcomes.append(type(err))
             raise err
+        lo, hi = place_oracle.slope_interval(lines, order, st.k - st.t)
+        sigma = got[-1].slope if got else stretch._fresh_slope(lines, lo, hi)
+        assert lo < sigma < hi and all(l.slope != sigma for l in lines)
+        ilo, ihi = place_oracle.intercept_interval(lines, line_of, slot, sigma)
+        assert (got is None) == (ilo is not None and ihi is not None and ilo >= ihi)
+        if got:
+            assert got[:-1] == lines and len(got) == len(lines) + 1
+            t = got[-1].intercept
+            assert (ilo is None or ilo < t) and (ihi is None or t < ihi)
+        outcomes.append(got is not None)
         return got
 
     monkeypatch.setattr(stretch, "_place", both)
@@ -203,7 +225,7 @@ def test_place_matches_fraction_oracle(place_outcomes):
 
 
 def test_place_matches_fraction_oracle_on_swapped_labels(place_outcomes):
-    st, lines, line_of, corners = insertion_inputs(NECKLACE_8)
+    st, lines, line_of = insertion_inputs(NECKLACE_8)
     a, b, c = st.wires
     order = [line_of[w] for w in (a, *st.H, c)]
     lines = stretch._normalize_slopes(lines, order)
@@ -212,5 +234,5 @@ def test_place_matches_fraction_oracle_on_swapped_labels(place_outcomes):
         swapped = dict(line_of)
         swapped[u], swapped[v] = line_of[v], line_of[u]
         with pytest.raises(WrongLabels):
-            stretch._place(st, lines, swapped, order, corners)
+            stretch._place(st, lines, swapped, order)
     assert place_outcomes[-len(pairs):] == [WrongLabels] * len(pairs)
