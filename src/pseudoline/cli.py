@@ -70,33 +70,33 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.jobs > 1:  # main admits it only with --count-only, without --dedup or --filter
-        from multiprocessing import Pool
-
-        shards = _shards(args.n)
-        with Pool(min(args.jobs, len(shards))) as pool:
-            parts = pool.starmap(_count_prefix, [(args.n, p) for p in shards])
-        print(sum(parts))
+    if args.count_only:  # the one mode main admits with --jobs J > 1
+        print(sum(_map_shards(args.jobs, _count, args.n, args.filter, args.dedup)))
         return 0
-    stream = enumerate_simple(args.n, filter=args.filter, dedup=args.dedup)
-    if args.count_only:
-        print(stream.count())
-        return 0
-    for d in stream:
+    for d in enumerate_simple(args.n, filter=args.filter, dedup=args.dedup):
         print(" ".join(map(str, d.swaps)))
     return 0
 
 
-def _shards(n: int) -> list[tuple[int, ...]]:
-    """Word prefixes that split the enumeration: one per first letter.
+def _count(n: int, filter: str | None, dedup: bool, prefix: tuple[int, ...]) -> int:
+    return sum(1 for _ in enumerate_simple(n, filter, dedup, prefix))
 
-    For n = 1 there is no letter, and the one shard is the empty prefix.
+
+def _map_shards(jobs: int, fn: Callable[..., T], n: int, *args) -> list[T]:
+    """``fn(n, *args, prefix)`` per shard of the word walk, in prefix order.
+
+    There is one shard per first letter (for n = 1, which has no letter, the
+    empty prefix), at every job count, so that a result never depends on it
+    (``verify`` stops each shard at its first failure).  More than one job
+    runs the shards in min(jobs, shards) processes.
     """
-    return [(t,) for t in range(1, n)] or [()]
+    shards = [(t,) for t in range(1, n)] or [()]
+    if jobs == 1:
+        return [fn(n, *args, p) for p in shards]
+    from multiprocessing import Pool
 
-
-def _count_prefix(n: int, prefix: tuple[int, ...]) -> int:
-    return sum(1 for _ in raw_words(n, prefix=prefix))
+    with Pool(min(jobs, len(shards))) as pool:
+        return pool.starmap(fn, [(n, *args, p) for p in shards])
 
 
 def cmd_necklace(args) -> int:
@@ -148,14 +148,7 @@ def _verify_prefix(n: int, prefix: tuple[int, ...]) -> tuple[int, tuple[int, ...
 
 def cmd_verify(args) -> int:
     n = args.n
-    prefixes = _shards(n)
-    if args.jobs > 1:
-        from multiprocessing import Pool
-
-        with Pool(min(args.jobs, len(prefixes))) as pool:
-            parts = pool.starmap(_verify_prefix, [(n, p) for p in prefixes])
-    else:
-        parts = [_verify_prefix(n, p) for p in prefixes]
+    parts = _map_shards(args.jobs, _verify_prefix, n)
     total = sum(p[0] for p in parts)
     failures = [(word, name) for _, word, name in parts if word is not None]
     for name in ALL_CHECKS:
@@ -230,11 +223,10 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=cmd_verify)
 
     args = ap.parse_args(argv)
-    if args.command == "render" and not args.lines and not args.file:
-        ap.error("render needs a diagram file or --lines")
-    if (args.command == "enumerate" and args.jobs > 1
-            and (not args.count_only or args.dedup or args.filter)):
-        ap.error("enumerate --jobs J > 1 needs --count-only, without --dedup or --filter")
+    if args.command == "render" and bool(args.lines) == bool(args.file):
+        ap.error("render needs exactly one of a diagram file and --lines")
+    if args.command == "enumerate" and args.jobs > 1 and not args.count_only:
+        ap.error("enumerate --jobs J > 1 needs --count-only")
     try:
         return args.fn(args)
     except InputError as exc:

@@ -7,9 +7,14 @@ such swaps describe the same arrangement.  With ``classes=True`` the search
 also prunes every word that is not the lex-smallest of its commutation class
 (its normal form; Anisimov & Knuth 1979, Cartier & Foata 1969), so it yields
 one word per arrangement: 62 instead of 768 at n = 5 (OEIS A006245 vs
-A005118).  Dedup mode keeps one representative per canonical form (see
-``isomorphism``), and reads only normal forms, because the lex-first word of
-an isomorphism class is one.
+A005118).  Dedup mode keeps the lex-first word of each isomorphism class.  The
+canonical form (see ``isomorphism``) is the least normal word over all
+markings of an arrangement, and the class walk visits normal words in lex
+order, so a word is the first of its isomorphism class exactly when it is its
+own canonical word: orderly generation (Read, "Every one a winner", 1978).
+Each word is decided on its own, so dedup keeps no memory across words and a
+walk below any prefix keeps exactly the words the full walk keeps there.  The
+filters are invariants of the arrangement: they keep or drop whole classes.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .isomorphism import canonical_form
 from .sweep import census_sides
 from .wiring import WiringDiagram
 
-__all__ = ["EnumerationStream", "enumerate_simple", "is_normal", "raw_words", "MAX_N"]
+__all__ = ["enumerate_simple", "is_normal", "raw_words", "MAX_N"]
 
 MAX_N = 7  # n = 8: 1,232,944 classes (~1 min just to list), 4.9e13 words
 
@@ -95,21 +100,16 @@ _FILTERS: dict[str, Callable[[int, tuple[int, ...]], bool]] = {
 }
 
 
-class EnumerationStream:
-    """The diagrams of one enumeration, read once by iterating or counting."""
+def enumerate_simple(
+    n: int, filter: str | None = None, dedup: bool = False, prefix: tuple[int, ...] = ()
+) -> Iterator[WiringDiagram]:
+    """The diagrams on n wires whose words start with ``prefix``, in lex order.
 
-    def __init__(self, n: int, filter: str | None, dedup: bool, it: Iterator[WiringDiagram]):
-        self.n, self.filter, self.dedup = n, filter, dedup
-        self._iter = it
-
-    def __iter__(self) -> Iterator[WiringDiagram]:
-        return self._iter
-
-    def count(self) -> int:
-        return sum(1 for _ in self._iter)
-
-
-def enumerate_simple(n: int, filter: str | None = None, dedup: bool = False) -> EnumerationStream:
+    With ``dedup``, only the words that are their own canonical words: one
+    per isomorphism class.  ``n`` and ``filter`` are checked here, before
+    the first diagram is asked for; the diagrams come from a one-pass
+    generator.
+    """
     if not 1 <= n <= MAX_N:
         raise NTooLarge(f"n={n} outside [1, {MAX_N}]")
     if filter is not None and filter not in _FILTERS:
@@ -117,16 +117,12 @@ def enumerate_simple(n: int, filter: str | None = None, dedup: bool = False) -> 
 
     def gen() -> Iterator[WiringDiagram]:
         pred = _FILTERS[filter] if filter else None
-        seen = set()
-        for word in raw_words(n, classes=dedup):
+        for word in raw_words(n, prefix, classes=dedup):
             if pred is not None and not pred(n, word):
                 continue
             d = WiringDiagram(n, word)
-            if dedup:
-                cert = canonical_form(d)
-                if cert in seen:
-                    continue
-                seen.add(cert)
+            if dedup and canonical_form(d).word != word:
+                continue
             yield d
 
-    return EnumerationStream(n, filter, dedup, gen())
+    return gen()

@@ -29,7 +29,6 @@ SweepResult = namedtuple(
         "lower_face",  # per edge id: face below
         "face_open",  # per face: opening step, -1 if open at -infinity
         "face_close",  # per face: closing step, -1 if open at +infinity
-        "face_region",  # per face: its region index
     ],
 )
 
@@ -46,12 +45,9 @@ def sweep_arrays(n, swaps):
     nfaces = n + 1 + nsteps
     face_open = [-1] * nfaces
     face_close = [-1] * nfaces
-    face_region = [0] * nfaces
 
     perm = list(range(1, n + 1))
     region_face = list(range(n + 1))
-    for r in range(n + 1):
-        face_region[r] = r
     cross_count = [0] * (n + 1)
     next_face = n + 1
     wpl = n - 1  # wire_steps stride
@@ -72,7 +68,6 @@ def sweep_arrays(n, swaps):
         lower_face[ev] = region_face[t + 1]
         face_close[region_face[t]] = s
         face_open[next_face] = s
-        face_region[next_face] = t
         region_face[t] = next_face
         next_face += 1
         wire_steps[(u - 1) * wpl + cu] = s
@@ -98,7 +93,6 @@ def sweep_arrays(n, swaps):
         lower_face,
         face_open,
         face_close,
-        face_region,
     )
 
 

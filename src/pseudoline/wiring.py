@@ -137,7 +137,10 @@ def induced_subarrangement(d: WiringDiagram, keep) -> InducedResult:
 
 
 def parse_diagram(text: str) -> WiringDiagram:
-    """Parse the two-line text format: ``n`` then space-separated tracks."""
+    """Parse the two-line text format: ``n`` then space-separated tracks.
+
+    Blank lines may follow; any other text after line 2 is a ParseError.
+    """
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty input", 1)
@@ -155,9 +158,13 @@ def parse_diagram(text: str) -> WiringDiagram:
         except ValueError:
             raise ParseError(f"bad track {tok!r}", 2, col) from None
     try:
-        return validate_wiring(n, swaps)
+        d = validate_wiring(n, swaps)
     except (WrongLength, BadTrack, DoubleCross) as exc:
         raise ParseError(str(exc), 2) from exc
+    for i, line in enumerate(lines[2:], start=3):
+        if line.strip():
+            raise ParseError(f"unexpected text after the swaps: {line!r}", i)
+    return d
 
 
 def format_diagram(d: WiringDiagram) -> str:

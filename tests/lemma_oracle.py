@@ -34,6 +34,12 @@ def _track_table(d: WiringDiagram) -> list[list[int]]:
     return out
 
 
+def _region(sw, f: int) -> int:
+    """The region of face f: faces 0..n are the regions at the far left, and
+    the face opened at a step lies in the region of that step's track."""
+    return f if f <= sw.n else sw.cross_track[sw.face_open[f]]
+
+
 def _face_in(cx: CellComplex, f: int, kept, region: int, lo: int, hi: int,
              track_after: list[list[int]]) -> bool:
     """Is the bounded face f of the full complex inside the face of the
@@ -48,7 +54,7 @@ def _face_in(cx: CellComplex, f: int, kept, region: int, lo: int, hi: int,
     if not lo <= s < hi:
         return False
     row = track_after[s]
-    rf = sw.face_region[f]
+    rf = _region(sw, f)
     return sum(1 for w in kept if row[w] <= rf) == region
 
 
@@ -111,7 +117,7 @@ def uncrossed_edge_witnesses(d: WiringDiagram, cx: CellComplex) -> dict:
                 m = len(cycle)
                 q_lo = pstep[sub_cx.sw.face_open[Q]]
                 q_hi = pstep[sub_cx.sw.face_close[Q]]
-                q_region = sub_cx.sw.face_region[Q]
+                q_region = _region(sub_cx.sw, Q)
                 inside = [f for f in ge5
                           if _face_in(cx, f, kept, q_region, q_lo, q_hi, track_after)]
                 for i in range(m):

@@ -320,9 +320,7 @@ def _vf2_class_count_n5():
 
 
 def test_criterion_10_dedup_sanity():
-    c3 = enumerate_simple(3, dedup=True).count()
-    c4 = enumerate_simple(4, dedup=True).count()
-    c5 = enumerate_simple(5, dedup=True).count()
+    c3, c4, c5 = (sum(1 for _ in enumerate_simple(n, dedup=True)) for n in (3, 4, 5))
     c5_vf2 = _vf2_class_count_n5()
     report(
         10,

@@ -15,6 +15,7 @@ from pseudoline.enumeration import MAX_N
 from pseudoline.lines import Line, LineArrangement
 from pseudoline.necklace import build_arrangement, enumerate_selfdual
 from pseudoline.stretch import realize_im
+from pseudoline.suites import ALL_CHECKS
 from pseudoline.wiring import format_diagram
 
 
@@ -64,6 +65,8 @@ def test_analyze_parse_error(tmp_path, capsys):
          '[{"slope": "1e400", "intercept": "0"}, {"slope": "1", "intercept": "2"}]'),
         (["necklace", "--m", "2", "--build", "0000"], None),
         (["necklace", "--m", "1", "--build", "01"], None),
+        (["analyze", "d.txt"], "3\n1 2 1\n9 9\n"),
+        (["analyze", "d.txt"], "3\n1 2 1\n3\n2 1 2\n"),
     ],
 )
 def test_input_errors_exit_2(argv, content, tmp_path, monkeypatch, capsys):
@@ -115,10 +118,9 @@ def test_n_usage_errors_exit_2(command, n, capsys):
     assert "argument --n" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "mode", [[], ["--count-only", "--dedup"], ["--count-only", "--filter", "im"]]
-)
+@pytest.mark.parametrize("mode", [[], ["--dedup"], ["--filter", "im"]])
 def test_enumerate_jobs_rejected_where_it_does_not_shard(mode, capsys):
+    # listing does not shard: the words of every shard would be held until the last ends
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--n", "4", "--jobs", "2", *mode])
     assert exc.value.code == 2
@@ -172,15 +174,13 @@ def test_jobs_usage_errors_exit_2(command, jobs, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv", [["verify", "--n", "4"], ["enumerate", "--n", "4", "--count-only"]]
-)
-def test_jobs_is_capped_at_the_shard_count(argv, monkeypatch, capsys):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces ``multiprocessing.Pool`` by one that runs the shards
+    in-process; the list it returns gets the pool size of each call."""
     sizes = []
 
     class FakePool:
-        """Records the pool size asked for and runs the shards in-process."""
-
         def __init__(self, processes):
             sizes.append(processes)
 
@@ -194,11 +194,37 @@ def test_jobs_is_capped_at_the_shard_count(argv, monkeypatch, capsys):
             return [fn(*a) for a in args]
 
     monkeypatch.setattr("multiprocessing.Pool", FakePool)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--n", "4"], ["enumerate", "--n", "4", "--count-only"]]
+)
+def test_jobs_is_capped_at_the_shard_count(argv, pool_sizes, capsys):
     assert main(argv + ["--jobs", "1"]) == 0
     expected = capsys.readouterr().out
     assert main(argv + ["--jobs", "1000"]) == 0
     assert capsys.readouterr().out == expected
-    assert sizes == [3]  # n - 1 one-letter prefixes at n = 4
+    assert pool_sizes == [3]  # n - 1 one-letter prefixes at n = 4
+
+
+@pytest.mark.parametrize(
+    "n,mode,count",
+    [(4, [], 16), (5, [], 768), (5, ["--filter", "one-ge5"], 212), (5, ["--filter", "im"], 212),
+     (6, ["--dedup"], 43), (6, ["--dedup", "--filter", "im"], 4)],
+)
+def test_enumerate_count_is_the_same_in_shards(n, mode, count, pool_sizes, capsys):
+    argv = ["enumerate", "--n", str(n), "--count-only", *mode]
+    assert main(argv + ["--jobs", "1"]) == 0
+    assert capsys.readouterr().out == f"{count}\n"
+    assert main(argv + ["--jobs", "3"]) == 0
+    assert capsys.readouterr().out == f"{count}\n"
+    assert pool_sizes == [3]
+
+
+def test_enumerate_dedup_jobs(capsys):
+    assert main(["enumerate", "--n", "6", "--dedup", "--count-only", "--jobs", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "43"
 
 
 def test_realize_roundtrip(tmp_path, capsys):
@@ -241,6 +267,17 @@ def test_render_diagram(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("<svg ")
 
 
+def test_render_takes_a_file_or_lines_not_both(tmp_path, capsys):
+    path = write_diagram(tmp_path, "3\n1 2 1\n")
+    (tmp_path / "lines.json").write_text(
+        '[{"slope": "0", "intercept": "0"}, {"slope": "1", "intercept": "0"}]')
+    with pytest.raises(SystemExit) as exc:
+        main(["render", path, "--lines", str(tmp_path / "lines.json")])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--lines" in err
+
+
 def test_render_lines(tmp_path, capsys):
     lines = [
         {"slope": "0", "intercept": "0"},
@@ -251,6 +288,19 @@ def test_render_lines(tmp_path, capsys):
     p.write_text(json.dumps(lines))
     assert main(["render", "--lines", str(p)]) == 0
     assert capsys.readouterr().out.count("<line") == 3
+
+
+def test_verify_failure_is_the_same_in_shards(pool_sizes, monkeypatch, capsys):
+    # each fails on the words of one shard; a shard stops at its first failure
+    monkeypatch.setitem(ALL_CHECKS, "counting", lambda d, cx: d.swaps[0] != 1)
+    monkeypatch.setitem(ALL_CHECKS, "im-structure", lambda d, cx: d.swaps[0] != 2)
+    assert main(["verify", "--n", "5", "--jobs", "1"]) == 1
+    out = capsys.readouterr().out
+    assert main(["verify", "--n", "5", "--jobs", "4"]) == 1
+    assert capsys.readouterr().out == out and pool_sizes == [4]
+    assert "counting                     FAIL" in out
+    assert "im-structure                 FAIL" in out
+    assert out.endswith("counterexample (counting): n=5 swaps=1 2 1 3 2 1 4 3 2 1\n")
 
 
 def test_verify_n4(capsys):

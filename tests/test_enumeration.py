@@ -104,23 +104,43 @@ def test_class_prefix_partition():
     assert next(raw_words(4, prefix=(3, 1))) == (3, 1, 2, 1, 3, 2)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("filter", [None, "one-ge5", "im"])
-def test_dedup_matches_word_level_reference(n, filter):
-    expected, seen = [], set()
+def _first_of_each_form(n, words, filter):
+    """Reference dedup: the first word of each canonical form among the
+    ``words`` that pass ``filter``, found with a set of forms seen."""
     pred = {
         None: lambda w: True,
         "one-ge5": lambda w: sum(1 for s in census_sides(n, w) if s >= 5) == 1,
         "im": lambda w: is_in_Im(WiringDiagram(n, w)).member,
     }[filter]
-    for w in raw_words(n):
+    out, seen = [], set()
+    for w in words:
         if pred(w):
             cert = canonical_form(WiringDiagram(n, w))
             if cert not in seen:
                 seen.add(cert)
-                expected.append(w)
+                out.append(w)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("filter", [None, "one-ge5", "im"])
+def test_dedup_matches_word_level_reference(n, filter):
     got = [d.swaps for d in enumerate_simple(n, filter=filter, dedup=True)]
-    assert got == expected
+    assert got == _first_of_each_form(n, raw_words(n), filter)
+
+
+@pytest.mark.parametrize("filter,count", [(None, 43), ("one-ge5", 21), ("im", 4)])
+def test_dedup_matches_class_walk_reference(filter, count):
+    got = [d.swaps for d in enumerate_simple(6, filter=filter, dedup=True)]
+    assert got == _first_of_each_form(6, raw_words(6, classes=True), filter)
+    assert len(got) == count
+
+
+def test_dedup_prefix_partition():
+    # each word is kept or dropped on its own, so shards keep what the full walk keeps
+    full = [d.swaps for d in enumerate_simple(6, dedup=True)]
+    by_prefix = [d.swaps for t in range(1, 6) for d in enumerate_simple(6, dedup=True, prefix=(t,))]
+    assert by_prefix == full
 
 
 def test_filter_one_ge5():
@@ -135,13 +155,14 @@ def test_filter_im():
 
 
 def test_dedup_small():
-    assert enumerate_simple(3, dedup=True).count() == 1
-    assert enumerate_simple(4, dedup=True).count() == 1
+    assert len(list(enumerate_simple(3, dedup=True))) == 1
+    assert len(list(enumerate_simple(4, dedup=True))) == 1
+    assert not list(enumerate_simple(4, filter="one-ge5", dedup=True))  # no (>=5)-gon fits in 4 wires
 
 
 def test_dedup_im_n5():
     # distinct Im classes on 5 wires
-    assert enumerate_simple(5, filter="im", dedup=True).count() == 3
+    assert len(list(enumerate_simple(5, filter="im", dedup=True))) == 3
 
 
 def test_caps():
@@ -151,9 +172,3 @@ def test_caps():
         enumerate_simple(MAX_N + 1)
     with pytest.raises(ValueError):
         enumerate_simple(4, filter="nope")
-
-
-def test_stream_fields():
-    stream = enumerate_simple(4, filter="one-ge5", dedup=True)
-    assert stream.n == 4 and stream.filter == "one-ge5" and stream.dedup
-    assert stream.count() == 0  # no (>=5)-gon fits in 4 wires

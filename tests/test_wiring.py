@@ -95,6 +95,13 @@ def test_parse_errors():
         parse_diagram("3\n1 z 1\n")
     with pytest.raises(ParseError):
         parse_diagram("3\n1 1 2\n")  # double cross surfaces as ParseError
+    # text after the swaps, such as a second diagram
+    for text, line in [("3\n1 2 1\n9 9\n", 3), ("3\n1 2 1\n3\n2 1 2\n", 3),
+                       ("3\n1 2 1\n\n x\n", 4)]:
+        with pytest.raises(ParseError) as exc:
+            parse_diagram(text)
+        assert exc.value.line == line
+    assert parse_diagram("3\n1 2 1\n\n  \n") == WiringDiagram(3, (1, 2, 1))
 
 
 def test_induced_identity():
