@@ -11,7 +11,7 @@ from .analysis import (
     triangle_adjacency,
     verify_counting_theorem,
 )
-from .cells import CellComplex, build_cell_complex
+from .cells import CellComplex
 from .enumeration import enumerate_simple, raw_words
 from .errors import PseudolineError
 from .isomorphism import canonical_form, find_isomorphism, isomorphic
@@ -30,7 +30,7 @@ from .wiring import (
 __version__ = "1.0.0"
 __all__ = [
     "WiringDiagram", "validate_wiring", "parse_diagram", "format_diagram",
-    "induced_subarrangement", "CellComplex", "build_cell_complex",
+    "induced_subarrangement", "CellComplex",
     "face_census", "critical_edges", "criticality_k", "find_unique_ge5",
     "is_in_Im", "verify_counting_theorem", "triangle_adjacency", "report_json",
     "enumerate_simple", "raw_words", "canonical_form", "isomorphic",

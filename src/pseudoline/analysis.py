@@ -87,7 +87,7 @@ def critical_edges(cx: CellComplex, f: int) -> dict[int, bool]:
     return {e: not cx.face_bounded(cx.twin(e, f)) for e in cx.boundary_cycle(f)}
 
 
-def criticality_k(d: WiringDiagram, cx: CellComplex | None = None) -> CriticalityReport:
+def criticality_k(cx: CellComplex) -> CriticalityReport:
     """Criticality of an arrangement with exactly one (>=5)-gon P.
 
     Each edge of P survives unchanged into the subarrangement induced by P's
@@ -95,12 +95,11 @@ def criticality_k(d: WiringDiagram, cx: CellComplex | None = None) -> Criticalit
     the edge-to-super-edge map is span-preserving; an edge counts toward k
     when the induced face across it, away from P, is unbounded.
     """
-    cx = cx if cx is not None else CellComplex(d)
     p = find_unique_ge5(cx)
     if p is None:
-        raise NoGe5Gon(f"n={d.n}")
+        raise NoGe5Gon(f"n={cx.n}")
     wires = tuple(sorted(cx.face_wires(p)))
-    ind = induced_subarrangement(d, wires)
+    ind = induced_subarrangement(cx.diagram, wires)
     sub = CellComplex(ind.diagram)
     flags: dict[int, bool] = {}
     for e in cx.boundary_cycle(p):
@@ -135,11 +134,10 @@ def is_in_Im(d: WiringDiagram, cx: CellComplex | None = None) -> ImResult:
     return ImResult(True, None, p)
 
 
-def verify_counting_theorem(d: WiringDiagram, cx: CellComplex | None = None) -> TheoremReport:
-    cx = cx if cx is not None else CellComplex(d)
-    rep = criticality_k(d, cx)
+def verify_counting_theorem(cx: CellComplex) -> TheoremReport:
+    rep = criticality_k(cx)
     census = face_census(cx)
-    n, k = d.n, rep.k
+    n, k = cx.n, rep.k
     expected_p3 = n - k
     expected_p4 = k + n * (n - 5) // 2
     observed_p3, observed_p4 = census[3], census[4]
@@ -172,8 +170,8 @@ def report_json(d: WiringDiagram) -> str:
     census = face_census(cx)
     im = is_in_Im(d, cx)
     try:
-        rep = criticality_k(d, cx)
-        thm = verify_counting_theorem(d, cx)
+        rep = criticality_k(cx)
+        thm = verify_counting_theorem(cx)
         k = rep.k
         passed = thm.passed
         crit_wires = sorted(

@@ -12,7 +12,7 @@ from functools import cached_property
 from .sweep import sweep_arrays
 from .wiring import WiringDiagram
 
-__all__ = ["CellComplex", "build_cell_complex"]
+__all__ = ["CellComplex"]
 
 
 class CellComplex:
@@ -125,18 +125,13 @@ class CellComplex:
     # -- global checks --------------------------------------------------
 
     def euler_identity(self) -> bool:
-        """V - E + F = 1 for the plane with unbounded cells counted."""
-        return self.num_vertices - self.num_edges + self.num_faces == 1
+        """V - E + F = 1 for the plane, F the faces that the edges bound
+        (unbounded cells counted)."""
+        faces = set(self.sw.upper_face) | set(self.sw.lower_face)
+        return self.num_vertices - self.num_edges + len(faces) == 1
 
     def twin_consistent(self) -> bool:
-        for e in range(self.num_edges):
-            for f in (self.sw.upper_face[e], self.sw.lower_face[e]):
-                if e not in self._face_edges[f]:
-                    return False
-            if self.sw.upper_face[e] == self.sw.lower_face[e]:
-                return False
-        return True
-
-
-def build_cell_complex(d: WiringDiagram) -> CellComplex:
-    return CellComplex(d)
+        """Each edge has two distinct faces, both face ids of the complex."""
+        ids = range(self.num_faces)
+        return all(up != lo and up in ids and lo in ids
+                   for up, lo in zip(self.sw.upper_face, self.sw.lower_face))

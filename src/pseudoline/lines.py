@@ -127,4 +127,11 @@ def frac_str(f: Fraction) -> str:
 
 
 def parse_frac(s: str) -> Fraction:
+    """An exact value written as a string: an integer, p/q or a decimal.
+
+    Exponents are refused: ``Fraction("1e999999999")`` would build an
+    integer of a billion digits.
+    """
+    if not isinstance(s, str) or "e" in s or "E" in s:
+        raise ValueError(f"not an integer, p/q or decimal string: {s!r}")
     return Fraction(s)

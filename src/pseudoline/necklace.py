@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .analysis import is_in_Im, face_census
-from .cells import build_cell_complex
+from .cells import CellComplex
 from .errors import ConcurrentLines, EpsilonExhausted
 from .lines import Line, LineArrangement, lines_to_diagram
 
@@ -111,16 +111,15 @@ def build_arrangement(m: int, beads: tuple[int, ...]) -> tuple[LineArrangement, 
         except ConcurrentLines:
             eps /= 2
             continue
-        cx = build_cell_complex(res.diagram)
-        if _central_face_ok(res.diagram, cx, m):
+        if _central_face_ok(CellComplex(res.diagram), m):
             return arr, res.diagram
         eps /= 2
     raise EpsilonExhausted(f"no valid tilt found for beads {beads}")
 
 
-def _central_face_ok(d, cx, m: int) -> bool:
+def _central_face_ok(cx: CellComplex, m: int) -> bool:
     if m >= 3:
-        return is_in_Im(d, cx).member and max(face_census(cx).tally) == 2 * m
+        return is_in_Im(cx.diagram, cx).member and max(face_census(cx).tally) == 2 * m
     # 2m = 4: no (>=5)-gon can exist; require a 4-gon touching all 4 wires.
     for f in cx.bounded_faces():
         if cx.face_side_count(f) == 4 and len(cx.face_wires(f)) == 4:

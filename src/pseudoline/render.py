@@ -13,7 +13,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from operator import itemgetter
 
-from .cells import CellComplex, build_cell_complex
+from .cells import CellComplex
 from .errors import DuplicateSlope, InputError, TooFewLines
 from .lines import Line, LineArrangement, crossing_point
 from .wiring import WiringDiagram
@@ -82,8 +82,8 @@ def _face_polygon(cx: CellComplex, polylines: list[Polyline], f: int) -> Polylin
     return pts[:-1] if pts and pts[0] == pts[-1] else pts
 
 
-def render_diagram(d: WiringDiagram, cx: CellComplex | None = None) -> str:
-    cx = cx or build_cell_complex(d)
+def render_diagram(d: WiringDiagram) -> str:
+    cx = CellComplex(d)
     n, steps = d.n, d.num_steps
     x_lo, x_hi = -MARGIN, steps + MARGIN
     y_lo, y_hi = -(n - 1) - MARGIN, MARGIN

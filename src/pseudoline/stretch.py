@@ -25,7 +25,7 @@ from math import ceil, floor
 from typing import NamedTuple
 
 from .analysis import critical_edges, is_in_Im
-from .cells import CellComplex, build_cell_complex
+from .cells import CellComplex
 from .errors import (
     BaseCaseExhausted,
     ConcurrentLines,
@@ -60,9 +60,9 @@ class RealizerState(NamedTuple):
     local: dict[int, tuple[int, ...]]  # every wire's local sequence
 
 
-def _try_frame(d: WiringDiagram, cx: CellComplex, P: int, local: dict[int, tuple[int, ...]],
+def _try_frame(cx: CellComplex, P: int, local: dict[int, tuple[int, ...]],
                ea: int, eb: int, ec: int) -> RealizerState | None:
-    n = d.n
+    n = cx.n
     a, b, c = (cx.edge_wire(e) for e in (ea, eb, ec))
     # ``local`` runs left to right; a wire with P below its frame edge runs backwards
     seq = {w: local[w] if cx.sw.upper_face[e] == P else local[w][::-1]
@@ -95,34 +95,32 @@ def _try_frame(d: WiringDiagram, cx: CellComplex, P: int, local: dict[int, tuple
     for ell in range(1, k - r):
         if sc[n + r - k + ell - 1] != sa[ell - 1]:
             return None
-    return RealizerState(d, P, (ea, eb, ec), (a, b, c), seq, k, t, r, H, local)
+    return RealizerState(cx.diagram, P, (ea, eb, ec), (a, b, c), seq, k, t, r, H, local)
 
 
-def select_insertion_frame(d: WiringDiagram, cx: CellComplex | None = None) -> RealizerState:
+def select_insertion_frame(cx: CellComplex) -> RealizerState:
     """Pick three consecutive non-critical edges of P, in a working orientation."""
-    if cx is None:
-        cx = build_cell_complex(d)
-    P = _central_face(d, cx)
+    P = _central_face(cx)
     flags = critical_edges(cx, P)
     cycle = tuple(flags)  # keyed in boundary-cycle order
-    local = d.local_sequences()
+    local = cx.diagram.local_sequences()
     m = len(cycle)
     for i in range(m):
         trip = tuple(cycle[(i + j) % m] for j in range(3))
         if any(flags[e] for e in trip):
             continue
         for ea, eb, ec in (trip, trip[::-1]):
-            st = _try_frame(d, cx, P, local, ea, eb, ec)
+            st = _try_frame(cx, P, local, ea, eb, ec)
             if st is not None:
                 return st
     raise NoConsecutiveTriple(f"no usable frame on face {P}")
 
 
-def _central_face(d: WiringDiagram, cx: CellComplex) -> int:
-    """P, the (>=5)-gon on which every wire of ``d`` has an edge; NotInIm if none is."""
-    im = is_in_Im(d, cx)
+def _central_face(cx: CellComplex) -> int:
+    """P, the (>=5)-gon on which every wire has an edge; NotInIm if none is."""
+    im = is_in_Im(cx.diagram, cx)
     if not im.member:
-        raise NotInIm(f"diagram {d.swaps} has no all-wire (>=5)-gon")
+        raise NotInIm(f"diagram {cx.diagram.swaps} has no all-wire (>=5)-gon")
     return im.face
 
 
@@ -206,22 +204,23 @@ def realize_im(d: WiringDiagram, seed: int = 0) -> LineArrangement:
     labeled local sequences alone; one canonical-form comparison of the
     whole result against ``d`` is the final check.
     """
-    lines, _ = _realize(d, seed, build_cell_complex(d))
+    lines, _ = _realize(CellComplex(d), seed)
     arr = LineArrangement(tuple(lines))
     if not isomorphic(lines_to_diagram(arr).diagram, d):
         raise WrongLabels(f"realization of {d.swaps} is not isomorphic to it")
     return arr
 
 
-def _realize(d: WiringDiagram, seed: int, cx: CellComplex) -> tuple[list[Line], dict[int, int]]:
-    """Lines realizing ``d``, and the index of the line of each wire."""
+def _realize(cx: CellComplex, seed: int) -> tuple[list[Line], dict[int, int]]:
+    """Lines realizing the diagram of ``cx``, and the index of the line of each wire."""
+    d = cx.diagram
     if d.n <= BASE_N:
-        _central_face(d, cx)  # NotInIm before any sampling
+        _central_face(cx)  # NotInIm before any sampling
         return _realize_base(d, seed)
-    st = select_insertion_frame(d, cx)
+    st = select_insertion_frame(cx)
     b = st.wires[1]
     lines, line_of = _realize_without(d, b, seed)
-    got = _insert(d, st, lines, line_of)
+    got = _insert(st, lines, line_of)
     if got is None:
         raise EpsilonExhausted(f"insertion failed for {d.swaps}")
     line_of[b] = len(got) - 1
@@ -231,14 +230,13 @@ def _realize(d: WiringDiagram, seed: int, cx: CellComplex) -> tuple[list[Line], 
 def _realize_without(d: WiringDiagram, b: int, seed: int) -> tuple[list[Line], dict[int, int]]:
     """Lines realizing ``d`` minus wire ``b``, and the line of each other wire."""
     ind = induced_subarrangement(d, [w for w in range(1, d.n + 1) if w != b])
-    lines, line_of_child = _realize(ind.diagram, seed, build_cell_complex(ind.diagram))
+    lines, line_of_child = _realize(CellComplex(ind.diagram), seed)
     return lines, {w: line_of_child[v] for w, v in ind.wire_map.items()}
 
 
-def _insert(d: WiringDiagram, st: RealizerState, lines: list[Line],
-            line_of: dict[int, int]) -> list[Line] | None:
-    """Lines realizing ``d``, whose frame is ``st``: ``lines`` after an affine
-    map, then d*, the line of the frame's wire b; None if no placement fits."""
+def _insert(st: RealizerState, lines: list[Line], line_of: dict[int, int]) -> list[Line] | None:
+    """Lines realizing st.diagram: ``lines`` after an affine map, then d*,
+    the line of the frame's wire b; None if no placement fits."""
     a, b, c = st.wires
     order = [line_of[w] for w in (a, *st.H, c)]
     lines = _normalize_slopes(lines, order)

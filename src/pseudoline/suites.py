@@ -1,7 +1,7 @@
 """Per-diagram invariant suites shared by the CLI verifier and the tests.
 
-Each check takes a diagram (plus optional precomputed cell complex) and
-returns True when the property holds.  The properties are the structural
+Each check takes the cell complex of a diagram, which carries the diagram,
+and returns True when the property holds.  The properties are the structural
 facts the library is built around: the bounded-cell count, the triangle and
 quadrilateral counts, criticality bounds, and the two containment lemmas
 about triangular regions and uncrossed (>=5)-gon edges.
@@ -20,7 +20,7 @@ from .analysis import (
     triangle_adjacency,
     verify_counting_theorem,
 )
-from .cells import CellComplex, build_cell_complex
+from .cells import CellComplex
 from .errors import MultipleGe5Gons
 from .sweep import census_sides
 from .wiring import WiringDiagram, induced_subarrangement
@@ -38,9 +38,8 @@ __all__ = [
     "run_checks",
 ]
 
-def check_cell_formula(d: WiringDiagram, cx: CellComplex | None = None) -> bool:
-    cx = cx or build_cell_complex(d)
-    n = d.n
+def check_cell_formula(cx: CellComplex) -> bool:
+    n = cx.n
     return (
         len(cx.bounded_faces()) == 1 + n * (n - 3) // 2
         and cx.euler_identity()
@@ -48,32 +47,26 @@ def check_cell_formula(d: WiringDiagram, cx: CellComplex | None = None) -> bool:
     )
 
 
-def check_counting(d: WiringDiagram, cx: CellComplex | None = None) -> bool:
+def check_counting(cx: CellComplex) -> bool:
     """Triangle/quadrilateral counts: n - 2 and (n - 2)(n - 3)/2 with no
     (>=5)-gon (Leanos et al.; n >= 2), the paper's n - k and k + n(n - 5)/2
     with exactly one.  Two or more (>=5)-gons go unchecked."""
-    cx = cx or build_cell_complex(d)
     try:
         if find_unique_ge5(cx) is None:
-            n, census = d.n, face_census(cx)
+            n, census = cx.n, face_census(cx)
             return n < 2 or (census[3], census[4]) == (n - 2, (n - 2) * (n - 3) // 2)
     except MultipleGe5Gons:
         return True
-    return verify_counting_theorem(d, cx).passed
+    return verify_counting_theorem(cx).passed
 
 
-def check_prop_triangle_per_wire(d: WiringDiagram, cx: CellComplex | None = None) -> bool:
+def check_prop_triangle_per_wire(cx: CellComplex) -> bool:
     """Every wire bounds at least one triangle (n >= 3)."""
-    cx = cx or build_cell_complex(d)
-    if d.n < 3:
-        return True
-    adj = triangle_adjacency(cx)
-    return all(adj[w] for w in range(1, d.n + 1))
+    return cx.n < 3 or all(triangle_adjacency(cx).values())
 
 
-def check_criticality_bound(d: WiringDiagram, cx: CellComplex | None = None) -> bool:
+def check_criticality_bound(cx: CellComplex) -> bool:
     """No bounded (>=4)-gon has more than 2 critical edges."""
-    cx = cx or build_cell_complex(d)
     for f in cx.bounded_faces():
         if cx.face_side_count(f) >= 4:
             if sum(critical_edges(cx, f).values()) > 2:
@@ -81,13 +74,13 @@ def check_criticality_bound(d: WiringDiagram, cx: CellComplex | None = None) -> 
     return True
 
 
-def check_im_structure(d: WiringDiagram, cx: CellComplex | None = None) -> bool:
+def check_im_structure(cx: CellComplex) -> bool:
     """On Im diagrams: non-critical P-edges bound triangles, and every
     triangle shares an edge with P."""
-    cx = cx or build_cell_complex(d)
-    if not is_in_Im(d, cx).member:
+    im = is_in_Im(cx.diagram, cx)
+    if not im.member:
         return True
-    P = find_unique_ge5(cx)
+    P = im.face
     flags = critical_edges(cx, P)
     for eid, crit in flags.items():
         if not crit:
@@ -101,8 +94,7 @@ def check_im_structure(d: WiringDiagram, cx: CellComplex | None = None) -> bool:
     return True
 
 
-def check_no_shared_triangle_edge(d: WiringDiagram, cx: CellComplex | None = None) -> bool:
-    cx = cx or build_cell_complex(d)
+def check_no_shared_triangle_edge(cx: CellComplex) -> bool:
     for f in cx.bounded_faces():
         if cx.face_side_count(f) == 3:
             for eid in cx.face_edges(f):
@@ -147,15 +139,14 @@ def _triangle_region_faces(cx: CellComplex):
                                                      step_of(ell, o), above)
 
 
-def check_triangle_region_lemma(d: WiringDiagram, cx: CellComplex | None = None) -> bool:
+def check_triangle_region_lemma(cx: CellComplex) -> bool:
     """Uncrossed edge of a triangular region T on wire r: each of the other
     two wires of T bounds a triangle face contained in T."""
-    cx = cx or build_cell_complex(d)
     return all(any(cx.face_side_count(f) == 3 for f in faces)
                for _, faces in _triangle_region_faces(cx))
 
 
-def _uncrossed_edge_faces(d: WiringDiagram, cx: CellComplex):
+def _uncrossed_edge_faces(cx: CellComplex):
     """Per (kept, Q, uncrossed edge, neighbour edge), with Q a (>=5)-gon of
     the subarrangement on ``kept`` and the edges two consecutive edges of Q:
     the faces of the full arrangement inside Q along the neighbour edge.
@@ -163,13 +154,13 @@ def _uncrossed_edge_faces(d: WiringDiagram, cx: CellComplex):
     An edge of Q is uncrossed when its stretch of the parent wire holds one
     full edge, whose face on Q's side is then the only face listed for it.
     """
-    n = d.n
+    n = cx.n
     for size in range(5, n):
         for kept in combinations(range(1, n + 1), size):
-            ind = induced_subarrangement(d, list(kept))
+            ind = induced_subarrangement(cx.diagram, list(kept))
             if max(census_sides(size, ind.diagram.swaps), default=0) < 5:
                 continue
-            sub = build_cell_complex(ind.diagram)
+            sub = CellComplex(ind.diagram)
             parent_step = {child: parent for parent, child in ind.step_map.items()}
             parent_wire = {cw: pw for pw, cw in ind.wire_map.items()}
             for Q in sub.bounded_faces():
@@ -187,15 +178,14 @@ def _uncrossed_edge_faces(d: WiringDiagram, cx: CellComplex):
                             yield (kept, Q, cycle[i], cycle[j]), along[j]
 
 
-def check_uncrossed_edge_lemma(d: WiringDiagram, cx: CellComplex | None = None) -> bool:
+def check_uncrossed_edge_lemma(cx: CellComplex) -> bool:
     """Uncrossed edge w of a (>=5)-gon Q of a proper subarrangement: each
     Q-edge adjacent to w carries, as a subarc, an edge of a (>=5)-gon of the
     full arrangement contained in Q.  (With Q a face of the full arrangement
     itself the statement holds with that face as its own witness, so only
     proper subsets are examined.)"""
-    cx = cx or build_cell_complex(d)
     return all(any(cx.face_side_count(f) >= 5 for f in faces)
-               for _, faces in _uncrossed_edge_faces(d, cx))
+               for _, faces in _uncrossed_edge_faces(cx))
 
 
 ALL_CHECKS = {
@@ -210,9 +200,6 @@ ALL_CHECKS = {
 }
 
 
-def run_checks(d: WiringDiagram, names: list[str] | None = None) -> dict[str, bool]:
-    cx = build_cell_complex(d)
-    out = {}
-    for name in names or ALL_CHECKS:
-        out[name] = ALL_CHECKS[name](d, cx)
-    return out
+def run_checks(d: WiringDiagram) -> dict[str, bool]:
+    cx = CellComplex(d)
+    return {name: check(cx) for name, check in ALL_CHECKS.items()}

@@ -14,7 +14,7 @@ import networkx as nx
 import pytest
 
 from pseudoline.analysis import triangle_adjacency, verify_counting_theorem
-from pseudoline.cells import build_cell_complex
+from pseudoline.cells import CellComplex
 from pseudoline.enumeration import enumerate_simple, raw_words
 from pseudoline.isomorphism import isomorphic
 from pseudoline.lines import lines_to_diagram
@@ -86,7 +86,7 @@ def scan():
                 if failures[name] is None and not ok:
                     failures[name] = (n, word)
             if one_triangle is None and n >= 5:
-                cx = build_cell_complex(d)
+                cx = CellComplex(d)
                 sizes = [len(v) for v in triangle_adjacency(cx).values()]
                 if min(sizes) == 1 and max(sizes) > 1:
                     one_triangle = (n, word)
@@ -160,7 +160,7 @@ def test_criterion_02_counting_theorem(scan, necklace_diagrams):
     bad = scan["failures"]["counting"]
     neck_bad = None
     for m, beads, _, d in necklace_diagrams:
-        if not verify_counting_theorem(d).passed:
+        if not verify_counting_theorem(CellComplex(d)).passed:
             neck_bad = (m, beads)
             break
     report(
@@ -199,7 +199,7 @@ def test_criterion_05_im_structure(scan, necklace_diagrams):
     neck_bad = None
     check = ALL_CHECKS["im-structure"]
     for m, beads, _, d in necklace_diagrams:
-        if not check(d):
+        if not check(CellComplex(d)):
             neck_bad = (m, beads)
             break
     report(
@@ -269,7 +269,7 @@ def test_criterion_09_realizer_roundtrip(necklace_diagrams):
         # the Im diagrams the recursion itself will visit
         cur = d
         while cur.n > BASE_N:
-            st = select_insertion_frame(cur)
+            st = select_insertion_frame(CellComplex(cur))
             kept = [w for w in range(1, cur.n + 1) if w != st.wires[1]]
             cur = induced_subarrangement(cur, kept).diagram
             targets.append(cur)
@@ -296,7 +296,7 @@ def _vf2_class_count_n5():
     """
 
     def graph_of(d):
-        adj, colors = incidence_graph(build_cell_complex(d))
+        adj, colors = incidence_graph(CellComplex(d))
         g = nx.Graph()
         for i, c in enumerate(colors):
             g.add_node(i, dim=c)

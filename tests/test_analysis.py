@@ -12,7 +12,7 @@ from pseudoline.analysis import (
     triangle_adjacency,
     verify_counting_theorem,
 )
-from pseudoline.cells import build_cell_complex
+from pseudoline.cells import CellComplex
 from pseudoline.errors import MultipleGe5Gons, NoGe5Gon, UnboundedFace
 from pseudoline.wiring import validate_wiring
 
@@ -22,7 +22,7 @@ NON_IM_SIX = validate_wiring(6, [1, 2, 1, 3, 2, 1, 4, 3, 5, 4, 3, 2, 1, 3, 2])
 
 
 def test_census_n4():
-    cx = build_cell_complex(validate_wiring(4, [2, 1, 3, 2, 1, 3]))
+    cx = CellComplex(validate_wiring(4, [2, 1, 3, 2, 1, 3]))
     census = face_census(cx)
     assert census.tally == {3: 2, 4: 1}
     assert census.total == 3
@@ -30,27 +30,27 @@ def test_census_n4():
 
 
 def test_find_unique_ge5():
-    cx = build_cell_complex(PENTAGON_5)
+    cx = CellComplex(PENTAGON_5)
     p = find_unique_ge5(cx)
     assert p is not None and cx.face_side_count(p) == 5
-    assert find_unique_ge5(build_cell_complex(validate_wiring(3, [1, 2, 1]))) is None
+    assert find_unique_ge5(CellComplex(validate_wiring(3, [1, 2, 1]))) is None
 
 
 def test_critical_edges_unbounded_face_rejected():
-    cx = build_cell_complex(validate_wiring(3, [1, 2, 1]))
+    cx = CellComplex(validate_wiring(3, [1, 2, 1]))
     with pytest.raises(UnboundedFace):
         critical_edges(cx, 0)
 
 
 def test_criticality_no_gon():
     with pytest.raises(NoGe5Gon):
-        criticality_k(validate_wiring(4, [2, 1, 3, 2, 1, 3]))
+        criticality_k(CellComplex(validate_wiring(4, [2, 1, 3, 2, 1, 3])))
 
 
 def test_criticality_im_case_matches_direct_flags():
     # all wires on the gon: induced subarrangement is the identity
-    cx = build_cell_complex(PENTAGON_5)
-    rep = criticality_k(PENTAGON_5, cx)
+    cx = CellComplex(PENTAGON_5)
+    rep = criticality_k(cx)
     assert rep.wires == (1, 2, 3, 4, 5)
     assert rep.edge_flags == critical_edges(cx, rep.face)
     assert rep.k == sum(rep.edge_flags.values())
@@ -58,7 +58,7 @@ def test_criticality_im_case_matches_direct_flags():
 
 def test_criticality_k2_six_wire_instance():
     # a 5-wire gon inside n=6 whose induced subarrangement is 2-critical
-    rep = criticality_k(K2_SIX)
+    rep = criticality_k(CellComplex(K2_SIX))
     assert len(rep.wires) == 5
     assert rep.k == 2
 
@@ -68,19 +68,19 @@ def test_is_in_im():
     res = is_in_Im(NON_IM_SIX)
     assert not res.member and res.witness is not None
     # the witness wire really has no edge on the gon
-    cx = build_cell_complex(NON_IM_SIX)
+    cx = CellComplex(NON_IM_SIX)
     assert res.witness not in cx.face_wires(find_unique_ge5(cx))
 
 
 def test_counting_theorem():
-    thm = verify_counting_theorem(PENTAGON_5)
+    thm = verify_counting_theorem(CellComplex(PENTAGON_5))
     assert thm.passed
     assert thm.observed_p3 == thm.n - thm.k
     assert thm.observed_p4 == thm.k + thm.n * (thm.n - 5) // 2
 
 
 def test_triangle_adjacency():
-    cx = build_cell_complex(PENTAGON_5)
+    cx = CellComplex(PENTAGON_5)
     adj = triangle_adjacency(cx)
     assert set(adj) == {1, 2, 3, 4, 5}
     assert all(adj[w] for w in adj)

@@ -1,13 +1,17 @@
+import ast
+from pathlib import Path
+
 import pytest
 
-from pseudoline.cells import build_cell_complex
+import pseudoline
+from pseudoline.cells import CellComplex
 from pseudoline.enumeration import raw_words
 from pseudoline.sweep import census_sides
 from pseudoline.wiring import WiringDiagram, validate_wiring
 
 
 def test_triangle_n3():
-    cx = build_cell_complex(validate_wiring(3, [1, 2, 1]))
+    cx = CellComplex(validate_wiring(3, [1, 2, 1]))
     bounded = cx.bounded_faces()
     assert len(bounded) == 1
     assert cx.face_side_count(bounded[0]) == 3
@@ -15,14 +19,14 @@ def test_triangle_n3():
 
 
 def test_census_n4():
-    cx = build_cell_complex(validate_wiring(4, [2, 1, 3, 2, 1, 3]))
+    cx = CellComplex(validate_wiring(4, [2, 1, 3, 2, 1, 3]))
     sides = sorted(cx.face_side_count(f) for f in cx.bounded_faces())
     assert sides == [3, 3, 4]
 
 
 def test_counts():
     d = validate_wiring(4, [2, 1, 3, 2, 1, 3])
-    cx = build_cell_complex(d)
+    cx = CellComplex(d)
     assert cx.num_vertices == 6
     assert cx.num_edges == 16  # n segments/rays per wire
     assert cx.num_faces == 11
@@ -31,7 +35,7 @@ def test_counts():
 
 def test_twin_and_boundary():
     d = validate_wiring(5, [1, 2, 1, 3, 4, 3, 2, 1, 3, 2])
-    cx = build_cell_complex(d)
+    cx = CellComplex(d)
     assert cx.twin_consistent()
     for f in cx.bounded_faces():
         cycle = cx.boundary_cycle(f)
@@ -44,7 +48,7 @@ def test_twin_and_boundary():
 
 def test_edge_span_rays():
     d = validate_wiring(3, [1, 2, 1])
-    cx = build_cell_complex(d)
+    cx = CellComplex(d)
     for w in range(1, 4):
         eids = range((w - 1) * cx.n, w * cx.n)
         assert cx.edge_span(eids[0])[0] is None  # left ray
@@ -55,7 +59,7 @@ def test_edge_span_rays():
 
 def test_crossing_step_map():
     d = validate_wiring(4, [2, 1, 3, 2, 1, 3])
-    cx = build_cell_complex(d)
+    cx = CellComplex(d)
     assert set(cx.crossing_step) == {
         (a, b) for a in range(1, 5) for b in range(a + 1, 5)
     }
@@ -64,14 +68,14 @@ def test_crossing_step_map():
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_bounded_count_formula_small(n):
     for word in raw_words(n):
-        cx = build_cell_complex(WiringDiagram(n, word))
+        cx = CellComplex(WiringDiagram(n, word))
         assert len(cx.bounded_faces()) == 1 + n * (n - 3) // 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_census_sides_matches_cell_complex(n):
     for word in raw_words(n):
-        cx = build_cell_complex(WiringDiagram(n, word))
+        cx = CellComplex(WiringDiagram(n, word))
         expected = sorted(cx.face_side_count(f) for f in cx.bounded_faces())
         assert census_sides(n, word) == expected
 
@@ -79,6 +83,25 @@ def test_census_sides_matches_cell_complex(n):
 def test_unbounded_face_count():
     # 2n unbounded cells for n >= 2
     d = validate_wiring(4, [2, 1, 3, 2, 1, 3])
-    cx = build_cell_complex(d)
+    cx = CellComplex(d)
     unbounded = [f for f in range(cx.num_faces) if not cx.face_bounded(f)]
     assert len(unbounded) == 8
+
+
+def test_only_is_in_Im_takes_a_diagram_and_its_complex():
+    # A complex carries its diagram, so a function that reads cells takes the
+    # complex alone.  is_in_Im keeps an optional complex: the enumeration
+    # filter calls it on bare diagrams.
+    both = []
+    for path in sorted(Path(pseudoline.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs
+                names = {p.arg for p in params}
+                diagram = "d" in names or any(
+                    p.annotation is not None and "WiringDiagram" in ast.unparse(p.annotation)
+                    for p in params)
+                if diagram and "cx" in names:
+                    both.append(f"{path.stem}.{node.name}")
+    assert both == ["analysis.is_in_Im"]

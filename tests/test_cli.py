@@ -67,6 +67,11 @@ def test_analyze_parse_error(tmp_path, capsys):
         (["necklace", "--m", "1", "--build", "01"], None),
         (["analyze", "d.txt"], "3\n1 2 1\n9 9\n"),
         (["analyze", "d.txt"], "3\n1 2 1\n3\n2 1 2\n"),
+        # an exponent Fraction would expand for minutes; a JSON number
+        (["render", "--lines", "lines.json"],
+         '[{"slope": "1e999999999", "intercept": "0"}, {"slope": "1", "intercept": "0"}]'),
+        (["render", "--lines", "lines.json"],
+         '[{"slope": 1e400, "intercept": "0"}, {"slope": "1", "intercept": "2"}]'),
     ],
 )
 def test_input_errors_exit_2(argv, content, tmp_path, monkeypatch, capsys):
@@ -292,8 +297,8 @@ def test_render_lines(tmp_path, capsys):
 
 def test_verify_failure_is_the_same_in_shards(pool_sizes, monkeypatch, capsys):
     # each fails on the words of one shard; a shard stops at its first failure
-    monkeypatch.setitem(ALL_CHECKS, "counting", lambda d, cx: d.swaps[0] != 1)
-    monkeypatch.setitem(ALL_CHECKS, "im-structure", lambda d, cx: d.swaps[0] != 2)
+    monkeypatch.setitem(ALL_CHECKS, "counting", lambda cx: cx.diagram.swaps[0] != 1)
+    monkeypatch.setitem(ALL_CHECKS, "im-structure", lambda cx: cx.diagram.swaps[0] != 2)
     assert main(["verify", "--n", "5", "--jobs", "1"]) == 1
     out = capsys.readouterr().out
     assert main(["verify", "--n", "5", "--jobs", "4"]) == 1

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from pseudoline.cells import build_cell_complex
+from pseudoline.cells import CellComplex
 from pseudoline.enumeration import raw_words
 from pseudoline.isomorphism import canonical_form, find_isomorphism, isomorphic
 from pseudoline.necklace import build_arrangement
@@ -55,7 +55,7 @@ def class_key(d):
 
 def assert_cell_iso(d1, d2, iso):
     """``iso`` is a bijection in each dimension that keeps every incidence."""
-    cx1, cx2 = build_cell_complex(d1), build_cell_complex(d2)
+    cx1, cx2 = CellComplex(d1), CellComplex(d2)
     n = d1.n
     assert sorted(iso.wire_map) == sorted(iso.wire_map.values()) == list(range(1, n + 1))
     assert sorted(iso.vertex_map) == sorted(iso.vertex_map.values()) == list(range(cx2.num_vertices))
@@ -158,7 +158,7 @@ def test_find_isomorphism_is_incidence_preserving():
     d2 = d1.reverse_sweep()
     iso = find_isomorphism(d1, d2)
     assert iso is not None
-    cx1, cx2 = build_cell_complex(d1), build_cell_complex(d2)
+    cx1, cx2 = CellComplex(d1), CellComplex(d2)
     # bijections on each dimension
     assert sorted(iso.vertex_map.values()) == list(range(cx2.num_vertices))
     assert sorted(iso.edge_map.values()) == list(range(cx2.num_edges))

@@ -60,6 +60,14 @@ def test_four_lines_unique_class():
 def test_frac_str_roundtrip():
     for f in (Fraction(3), Fraction(-7, 2), Fraction(0)):
         assert parse_frac(frac_str(f)) == f
+    assert parse_frac("0.25") == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("value", ["1e5", "2.5E-3", "1e999999999", 1, 0.5])
+def test_parse_frac_rejects_exponents_and_non_strings(value):
+    # Fraction("1e999999999") would build an integer of a billion digits
+    with pytest.raises(ValueError):
+        parse_frac(value)
 
 
 def outcome(sweep, lines):

@@ -1,7 +1,7 @@
 import pytest
 
 from pseudoline.analysis import face_census, is_in_Im
-from pseudoline.cells import build_cell_complex
+from pseudoline.cells import CellComplex
 from pseudoline.isomorphism import isomorphic
 from pseudoline.lines import lines_to_diagram
 from pseudoline.necklace import (
@@ -56,7 +56,7 @@ def test_build_hexagon():
     for beads in enumerate_selfdual(3):
         arr, d = build_arrangement(3, beads)
         assert arr.n == 6 and d.n == 6
-        cx = build_cell_complex(d)
+        cx = CellComplex(d)
         assert is_in_Im(d, cx).member
         census = face_census(cx)
         assert census[6] == 1 and max(census.tally) == 6
@@ -67,7 +67,7 @@ def test_build_hexagon():
 def test_build_m2_special_case():
     # 4 lines cannot carry a (>=5)-gon; the central cell is a 4-gon on all 4
     arr, d = build_arrangement(2, (0, 1, 1, 0))
-    cx = build_cell_complex(d)
+    cx = CellComplex(d)
     assert any(
         cx.face_side_count(f) == 4 and len(cx.face_wires(f)) == 4
         for f in cx.bounded_faces()

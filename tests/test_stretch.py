@@ -6,7 +6,7 @@ import pytest
 import place_oracle
 from pseudoline import stretch
 from pseudoline.analysis import is_in_Im
-from pseudoline.cells import build_cell_complex
+from pseudoline.cells import CellComplex
 from pseudoline.errors import NotInIm, WrongLabels
 from pseudoline.isomorphism import isomorphic
 from pseudoline.lines import LineArrangement, lines_to_diagram
@@ -41,7 +41,7 @@ def test_not_in_im_rejected():
     with pytest.raises(NotInIm):
         realize_im(validate_wiring(4, [2, 1, 3, 2, 1, 3]))
     with pytest.raises(NotInIm):
-        select_insertion_frame(validate_wiring(4, [2, 1, 3, 2, 1, 3]))
+        select_insertion_frame(CellComplex(validate_wiring(4, [2, 1, 3, 2, 1, 3])))
 
 
 def test_non_im_base_case_is_rejected_before_sampling(monkeypatch):
@@ -62,8 +62,8 @@ def test_base_case_seed_dependence():
 def test_crossing_sequence_orientation():
     # each frame wire runs with P on its left: left to right when P is above
     # its frame edge, so its sequence is its local sequence, else reversed
-    st = select_insertion_frame(PENTAGON_5)
-    cx = build_cell_complex(PENTAGON_5)
+    cx = CellComplex(PENTAGON_5)
+    st = select_insertion_frame(cx)
     local = PENTAGON_5.local_sequences()
     assert set(st.seq) == set(st.wires)
     for w, e in zip(st.wires, st.edges):
@@ -77,11 +77,11 @@ def test_frame_invariants_n7():
     # delete one wire of the 8-gon diagram to get a 7-wire Im instance
     from pseudoline.wiring import induced_subarrangement
 
-    st7 = select_insertion_frame(d)
+    st7 = select_insertion_frame(CellComplex(d))
     b = st7.wires[1]
     ind = induced_subarrangement(d, [w for w in range(1, 9) if w != b])
     assert ind.diagram.n == 7
-    st = select_insertion_frame(ind.diagram)
+    st = select_insertion_frame(CellComplex(ind.diagram))
     n = 7
     assert 3 <= st.k <= n - 1 and 2 <= st.t <= n - 3 and 1 <= st.r <= n - 3
     assert st.r <= st.t <= st.k - 1
@@ -112,13 +112,13 @@ def test_base_case_all_im_classes(n):
 
 def insertion_inputs(d):
     """The frame of ``d`` and the labeled lines of ``d`` without its wire b."""
-    st = select_insertion_frame(d)
+    st = select_insertion_frame(CellComplex(d))
     return (st, *_realize_without(d, st.wires[1], seed=0))
 
 
 def test_insert_with_correct_labels():
     st, lines, line_of = insertion_inputs(NECKLACE_8)
-    got = _insert(NECKLACE_8, st, lines, line_of)
+    got = _insert(st, lines, line_of)
     assert got is not None and len(got) == 8
     assert isomorphic(lines_to_diagram(LineArrangement(tuple(got))).diagram, NECKLACE_8)
 
@@ -131,7 +131,7 @@ def test_insert_rejects_swapped_labels():
         swapped = dict(line_of)
         swapped[u], swapped[v] = line_of[v], line_of[u]
         with pytest.raises(WrongLabels):
-            _insert(NECKLACE_8, st, lines, swapped)
+            _insert(st, lines, swapped)
 
 
 @pytest.mark.parametrize("seed", range(4))

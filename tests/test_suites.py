@@ -31,16 +31,9 @@ def test_exhaustive_n5():
         assert all(results.values()), (word, results)
 
 
-def test_check_subset():
-    out = run_checks(SAMPLES[0], names=["cell-formula", "counting"])
-    assert set(out) == {"cell-formula", "counting"}
-
-
-
 # Each check must be able to say False: a check that always answered True
-# would pass every test above.  The six checks that read only the complex get
-# the complex of their own diagram with one sweep array tampered with; so does
-# the triangle-region lemma, which reads only the complex too.
+# would pass every test above.  Each check gets the complex of a diagram with
+# one sweep array tampered with.
 
 
 def unbound(f):
@@ -57,6 +50,17 @@ def swap_upper(e1, e2):
     return tamper
 
 
+def set_lower(e, f):
+    """Point the face below edge e at the face id f."""
+    return lambda sw: {"lower_face": [f if g == e else x for g, x in enumerate(sw.lower_face)]}
+
+
+def rename(f, g):
+    """Call face f by the id g on both sides of every edge: two faces merge."""
+    return lambda sw: {key: [g if x == f else x for x in getattr(sw, key)]
+                       for key in ("upper_face", "lower_face")}
+
+
 @pytest.mark.parametrize(
     "name,n,word,tamper",
     [
@@ -71,33 +75,21 @@ def swap_upper(e1, e2):
         # quadrilateral (6) of the n = 4 arrangement lost
         ("counting", 4, (1, 2, 1, 3, 2, 1), unbound(5)),
         ("counting", 4, (1, 2, 1, 3, 2, 1), unbound(6)),
+        # an edge with no face below it; two faces under one id
+        ("cell-formula", 4, (1, 2, 1, 3, 2, 1), set_lower(5, -1)),
+        ("cell-formula", 4, (1, 2, 1, 3, 2, 1), rename(7, 8)),
+        # the only (>=5)-gon, face 11, hands a side to a triangle
+        ("uncrossed-edge-lemma", 6, (1, 2, 1, 3, 2, 1, 4, 3, 5, 4, 3, 2, 1, 3, 2),
+         swap_upper(1, 9)),
     ],
 )
 def test_check_fails_on_a_tampered_complex(name, n, word, tamper):
     d = validate_wiring(n, word)
     check = ALL_CHECKS[name]
-    assert check(d, CellComplex(d)) is True
+    assert check(CellComplex(d)) is True
     cx = CellComplex(d)
     cx.sw = cx.sw._replace(**tamper(cx.sw))
-    assert check(d, cx) is False
-
-
-# The uncrossed-edge lemma also reads the diagram: pair it with another one's
-# complex.  The id is pinned so the case keeps its name in test reports.
-@pytest.mark.parametrize(
-    "name,n,word,other",
-    [
-        pytest.param("uncrossed-edge-lemma", 6,
-                     (2, 5, 4, 3, 2, 1, 2, 3, 4, 3, 5, 4, 3, 2, 3),
-                     (2, 5, 4, 3, 2, 1, 2, 3, 4, 3, 2, 5, 4, 3, 2),
-                     id="uncrossed-edge-lemma-6-word1-other1"),
-    ],
-)
-def test_lemma_check_fails_on_a_foreign_complex(name, n, word, other):
-    d, e = validate_wiring(n, word), validate_wiring(n, other)
-    check = ALL_CHECKS[name]
-    assert check(d, CellComplex(d)) is True and check(e, CellComplex(e)) is True
-    assert check(d, CellComplex(e)) is False
+    assert check(cx) is False
 
 
 # The lemma checks against the probe-point oracle in ``lemma_oracle``: per
@@ -111,7 +103,7 @@ def _assert_same_witnesses(d):
     side = cx.face_side_count
     got = _witnesses(suites._triangle_region_faces(cx), lambda f: side(f) == 3)
     assert got == triangle_region_witnesses(d, cx), d
-    got = _witnesses(suites._uncrossed_edge_faces(d, cx), lambda f: side(f) >= 5)
+    got = _witnesses(suites._uncrossed_edge_faces(cx), lambda f: side(f) >= 5)
     assert got == uncrossed_edge_witnesses(d, cx), d
 
 
