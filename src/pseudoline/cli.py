@@ -28,8 +28,8 @@ T = TypeVar("T")
 def _load(path: str, parse: Callable[[str], T]) -> T:
     """Read a file ('-' = stdin) and parse it.
 
-    A file that cannot be read, or content that does not parse, is an
-    InputError, which the CLI reports in one line with exit code 2.
+    A file that cannot be read, or content that does not parse (JSON nested
+    too deep for the parser's recursion included), is an InputError, which the CLI reports in one line with exit code 2.
     """
     try:
         if path == "-":
@@ -40,7 +40,7 @@ def _load(path: str, parse: Callable[[str], T]) -> T:
         return parse(text)
     except KeyError as exc:
         raise InputError(f"{path}: missing key {exc}") from exc
-    except (OSError, ValueError, TypeError, ZeroDivisionError) as exc:
+    except (OSError, ValueError, TypeError, ZeroDivisionError, RecursionError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -119,7 +119,7 @@ def cmd_necklace(args) -> int:
 
 def cmd_realize(args) -> int:
     # realize_im ends with an exact round-trip; a failed one raises, exit 1
-    arr = realize_im(_read_diagram(args.file), seed=args.seed)
+    arr = realize_im(_read_diagram(args.file))
     print(_arrangement_json(arr))
     return 0
 
@@ -209,7 +209,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("realize", help="stretch a diagram into straight lines")
     p.add_argument("file")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_realize)
 
     p = sub.add_parser("render", help="SVG output")

@@ -86,10 +86,6 @@ class NoConsecutiveTriple(PseudolineError):
     """No three consecutive non-critical edges on the big gon."""
 
 
-class BaseCaseExhausted(PseudolineError):
-    """Randomized base-case realization ran out of budget."""
-
-
 class EpsilonExhausted(PseudolineError):
     """A construction found no room: the necklace tilt search hit its cap, or
     the realizer found no open slot interval for a new line in either

@@ -10,15 +10,14 @@ Each level returns the line of every wire, so an insertion is checked by
 labeled local sequences (Goodman & Pollack 1984): every line must cross the
 others in the order its wire does, read forwards or backwards, and the new
 line is placed by its n-1 crossings alone.  Canonical forms appear only in
-the base case and in one final check of the whole result.  Small instances
-(n <= 6) are realized directly: lines tangent to the unit circle at random
-rational points, resampled until the extracted diagram is isomorphic to the
-target, whose wire map then labels the lines.
+the base case and in one final check of the whole result.  The recursion
+stops at n = 5, where Im has three classes: a table holds five integer lines
+for each, and the isomorphism from the target to the table's diagram labels
+the lines.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import cmp_to_key
 from math import ceil, floor
@@ -27,9 +26,6 @@ from typing import NamedTuple
 from .analysis import critical_edges, is_in_Im
 from .cells import CellComplex
 from .errors import (
-    BaseCaseExhausted,
-    ConcurrentLines,
-    DuplicateSlope,
     EpsilonExhausted,
     NoConsecutiveTriple,
     NotInIm,
@@ -42,7 +38,15 @@ from .wiring import WiringDiagram, induced_subarrangement
 
 __all__ = ["RealizerState", "select_insertion_frame", "realize_im", "BASE_N"]
 
-BASE_N = 6  # below this the recursion frame is not guaranteed to exist
+BASE_N = 5  # Im starts at 5 wires; a 6-wire Im diagram keeps a frame to delete
+
+# (slope, intercept) of five lines realizing each 5-wire Im class, keyed by
+# the class's canonical word
+BASE_LINES = {
+    (1, 3, 2, 1, 3, 4, 3, 2, 1, 3): ((3, -1), (-3, 2), (-1, 2), (2, 1), (0, 1)),
+    (1, 2, 3, 2, 1, 2, 4, 3, 2, 1): ((-1, -2), (-3, 1), (3, -3), (1, 3), (-2, 1)),
+    (1, 2, 1, 3, 4, 3, 2, 1, 3, 2): ((-1, -3), (1, -1), (-3, -1), (3, 3), (2, 2)),
+}
 
 
 class RealizerState(NamedTuple):
@@ -124,38 +128,13 @@ def _central_face(cx: CellComplex) -> int:
     return im.face
 
 
-def _tangent_sample(n: int, rng: random.Random) -> LineArrangement:
-    """n lines tangent to the unit circle at distinct rational points."""
-    ts: list[Fraction] = []
-    while len(ts) < n:
-        t = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
-        if t == 0 or t in ts or any(t == -1 / u for u in ts):
-            continue
-        ts.append(t)
-    lines = []
-    for t in ts:
-        px = (1 - t * t) / (1 + t * t)
-        py = 2 * t / (1 + t * t)
-        # tangent px*x + py*y = 1, never vertical since t != 0
-        lines.append(Line(-px / py, 1 / py))
-    return LineArrangement(tuple(lines))
-
-
-def _realize_base(d: WiringDiagram, seed: int) -> tuple[list[Line], dict[int, int]]:
-    """Tangent lines realizing ``d``, and the index of the line of each wire."""
-    rng = random.Random(seed)
-    target = canonical_form(d)
-    for _ in range(20000):
-        arr = _tangent_sample(d.n, rng)
-        try:
-            res = lines_to_diagram(arr)
-        except (DuplicateSlope, ConcurrentLines):
-            continue
-        if canonical_form(res.diagram) == target:
-            iso = find_isomorphism(d, res.diagram)
-            line_of = {w: i for i, w in res.wire_of_line.items()}
-            return list(arr.lines), {w: line_of[v] for w, v in iso.wire_map.items()}
-    raise BaseCaseExhausted(f"no realization found for {d.swaps} with seed {seed}")
+def _realize_base(d: WiringDiagram) -> tuple[list[Line], dict[int, int]]:
+    """The table's lines for the Im class of ``d``, and the index of the line of each wire."""
+    lines = [Line(Fraction(m), Fraction(c)) for m, c in BASE_LINES[canonical_form(d).word]]
+    res = lines_to_diagram(LineArrangement(tuple(lines)))
+    iso = find_isomorphism(d, res.diagram)
+    line_of = {w: i for i, w in res.wire_of_line.items()}
+    return lines, {w: line_of[v] for w, v in iso.wire_map.items()}
 
 
 def _mirror(lines: list[Line]) -> list[Line]:
@@ -197,29 +176,29 @@ def _normalize_slopes(lines: list[Line], order: list[int]) -> list[Line]:
     return lines
 
 
-def realize_im(d: WiringDiagram, seed: int = 0) -> LineArrangement:
+def realize_im(d: WiringDiagram) -> LineArrangement:
     """Exact straight-line realization, verified isomorphic to the input.
 
     Every level knows the line of each wire, so an insertion is checked by
     labeled local sequences alone; one canonical-form comparison of the
     whole result against ``d`` is the final check.
     """
-    lines, _ = _realize(CellComplex(d), seed)
+    lines, _ = _realize(CellComplex(d))
     arr = LineArrangement(tuple(lines))
     if not isomorphic(lines_to_diagram(arr).diagram, d):
         raise WrongLabels(f"realization of {d.swaps} is not isomorphic to it")
     return arr
 
 
-def _realize(cx: CellComplex, seed: int) -> tuple[list[Line], dict[int, int]]:
+def _realize(cx: CellComplex) -> tuple[list[Line], dict[int, int]]:
     """Lines realizing the diagram of ``cx``, and the index of the line of each wire."""
     d = cx.diagram
     if d.n <= BASE_N:
-        _central_face(cx)  # NotInIm before any sampling
-        return _realize_base(d, seed)
+        _central_face(cx)  # NotInIm, not a missing table entry
+        return _realize_base(d)
     st = select_insertion_frame(cx)
     b = st.wires[1]
-    lines, line_of = _realize_without(d, b, seed)
+    lines, line_of = _realize_without(d, b)
     got = _insert(st, lines, line_of)
     if got is None:
         raise EpsilonExhausted(f"insertion failed for {d.swaps}")
@@ -227,10 +206,10 @@ def _realize(cx: CellComplex, seed: int) -> tuple[list[Line], dict[int, int]]:
     return got, line_of
 
 
-def _realize_without(d: WiringDiagram, b: int, seed: int) -> tuple[list[Line], dict[int, int]]:
+def _realize_without(d: WiringDiagram, b: int) -> tuple[list[Line], dict[int, int]]:
     """Lines realizing ``d`` minus wire ``b``, and the line of each other wire."""
     ind = induced_subarrangement(d, [w for w in range(1, d.n + 1) if w != b])
-    lines, line_of_child = _realize(CellComplex(ind.diagram), seed)
+    lines, line_of_child = _realize(CellComplex(ind.diagram))
     return lines, {w: line_of_child[v] for w, v in ind.wire_map.items()}
 
 

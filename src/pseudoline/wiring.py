@@ -136,6 +136,11 @@ def induced_subarrangement(d: WiringDiagram, keep) -> InducedResult:
     return InducedResult(sub, wire_map, step_map)
 
 
+def _clip(text: str, limit: int = 40) -> str:
+    """``text`` quoted, cut to its first ``limit`` characters plus '...'."""
+    return repr(text[:limit]) + ("..." if len(text) > limit else "")
+
+
 def parse_diagram(text: str) -> WiringDiagram:
     """Parse the two-line text format: ``n`` then space-separated tracks.
 
@@ -147,7 +152,7 @@ def parse_diagram(text: str) -> WiringDiagram:
     try:
         n = int(lines[0].strip())
     except ValueError:
-        raise ParseError(f"expected wire count, got {lines[0]!r}", 1) from None
+        raise ParseError(f"expected wire count, got {_clip(lines[0])}", 1) from None
     if n < 1:
         raise ParseError(f"wire count must be >= 1, got {n}", 1)
     tokens = lines[1].split() if len(lines) > 1 else []
@@ -156,14 +161,14 @@ def parse_diagram(text: str) -> WiringDiagram:
         try:
             swaps.append(int(tok))
         except ValueError:
-            raise ParseError(f"bad track {tok!r}", 2, col) from None
+            raise ParseError(f"bad track {_clip(tok)}", 2, col) from None
     try:
         d = validate_wiring(n, swaps)
     except (WrongLength, BadTrack, DoubleCross) as exc:
         raise ParseError(str(exc), 2) from exc
     for i, line in enumerate(lines[2:], start=3):
         if line.strip():
-            raise ParseError(f"unexpected text after the swaps: {line!r}", i)
+            raise ParseError(f"unexpected text after the swaps: {_clip(line)}", i)
     return d
 
 

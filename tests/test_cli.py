@@ -72,6 +72,12 @@ def test_analyze_parse_error(tmp_path, capsys):
          '[{"slope": "1e999999999", "intercept": "0"}, {"slope": "1", "intercept": "0"}]'),
         (["render", "--lines", "lines.json"],
          '[{"slope": 1e400, "intercept": "0"}, {"slope": "1", "intercept": "2"}]'),
+        # nested deeper than the JSON parser's recursion limit
+        pytest.param(["render", "--lines", "lines.json"], "[" * 200_000, id="deep-json"),
+        # a parse error quotes a bounded prefix of the offending text
+        pytest.param(["analyze", "d.txt"], "[" * 200_000, id="long-wire-count"),
+        pytest.param(["analyze", "d.txt"], "3\n1 2 " + "x" * 200_000 + "\n", id="long-track"),
+        pytest.param(["analyze", "d.txt"], "3\n1 2 1\n" + "z" * 200_000, id="long-trailing-text"),
     ],
 )
 def test_input_errors_exit_2(argv, content, tmp_path, monkeypatch, capsys):
@@ -80,7 +86,7 @@ def test_input_errors_exit_2(argv, content, tmp_path, monkeypatch, capsys):
         (tmp_path / argv[-1]).write_text(content)
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 120
 
 
 def test_enumerate_count(capsys):
@@ -234,9 +240,33 @@ def test_enumerate_dedup_jobs(capsys):
 
 def test_realize_roundtrip(tmp_path, capsys):
     path = write_diagram(tmp_path, "5\n1 2 1 3 4 3 2 1 3 2\n")
-    assert main(["realize", path, "--seed", "1"]) == 0
+    assert main(["realize", path]) == 0
     arr = json.loads(capsys.readouterr().out)
     assert len(arr) == 5
+
+
+def test_realize_has_no_seed(tmp_path, capsys):
+    path = write_diagram(tmp_path, "5\n1 2 1 3 4 3 2 1 3 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["realize", path, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_realize_is_deterministic(tmp_path):
+    """Two fresh interpreters with different string hash seeds print the same lines."""
+    path = tmp_path / "d.txt"
+    path.write_text(format_diagram(build_arrangement(6, enumerate_selfdual(6)[-1])[1]))
+    src = Path(pseudoline.__file__).resolve().parents[1]
+    runs = [
+        subprocess.run([sys.executable, "-m", "pseudoline.cli", "realize", str(path)],
+                       env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hs,
+                            "PYTHONDONTWRITEBYTECODE": "1"},
+                       capture_output=True)
+        for hs in ("0", "1")
+    ]
+    assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout and len(json.loads(runs[0].stdout)) == 12
 
 
 def test_arrangement_json_is_json_dumps():

@@ -1,5 +1,7 @@
 import itertools
 import random
+from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -7,9 +9,10 @@ import place_oracle
 from pseudoline import stretch
 from pseudoline.analysis import is_in_Im
 from pseudoline.cells import CellComplex
+from pseudoline.enumeration import enumerate_simple, raw_words
 from pseudoline.errors import NotInIm, WrongLabels
-from pseudoline.isomorphism import isomorphic
-from pseudoline.lines import LineArrangement, lines_to_diagram
+from pseudoline.isomorphism import canonical_form, isomorphic
+from pseudoline.lines import Line, LineArrangement, lines_to_diagram
 from pseudoline.necklace import build_arrangement, enumerate_selfdual
 from pseudoline.stretch import (
     BASE_N,
@@ -18,7 +21,7 @@ from pseudoline.stretch import (
     realize_im,
     select_insertion_frame,
 )
-from pseudoline.wiring import induced_subarrangement, validate_wiring
+from pseudoline.wiring import WiringDiagram, induced_subarrangement, validate_wiring
 
 PENTAGON_5 = validate_wiring(5, [1, 2, 1, 3, 4, 3, 2, 1, 3, 2])
 NECKLACE_8 = build_arrangement(4, enumerate_selfdual(4)[1])[1]
@@ -31,8 +34,8 @@ def necklace(n):
     return build_arrangement(m, half + tuple(1 - x for x in half))[1]
 
 
-def roundtrip(d, seed=0):
-    arr = realize_im(d, seed=seed)
+def roundtrip(d):
+    arr = realize_im(d)
     assert isomorphic(lines_to_diagram(arr).diagram, d)
     return arr
 
@@ -45,18 +48,13 @@ def test_not_in_im_rejected():
 
 
 def test_non_im_base_case_is_rejected_before_sampling(monkeypatch):
-    monkeypatch.setattr(stretch, "_realize_base", lambda d, seed: pytest.fail("sampled"))
+    monkeypatch.setattr(stretch, "_realize_base", lambda d: pytest.fail("looked up"))
     with pytest.raises(NotInIm):
         realize_im(validate_wiring(4, [2, 1, 3, 2, 1, 3]))
 
 
 def test_base_case_pentagon():
     roundtrip(PENTAGON_5)
-
-
-def test_base_case_seed_dependence():
-    # different seeds still succeed
-    roundtrip(PENTAGON_5, seed=7)
 
 
 def test_crossing_sequence_orientation():
@@ -100,12 +98,21 @@ def test_recursive_realization_n8():
     assert arr.n == 8
 
 
+def test_base_table_realizes_each_5_wire_im_class():
+    classes = {canonical_form(d).word for d in enumerate_simple(5, filter="im", dedup=True)}
+    assert set(stretch.BASE_LINES) == classes
+    for word, lines in stretch.BASE_LINES.items():
+        arr = LineArrangement(tuple(Line(Fraction(m), Fraction(c)) for m, c in lines))
+        assert canonical_form(lines_to_diagram(arr).diagram).word == word
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_base_case_all_im_classes(n):
-    from pseudoline.enumeration import enumerate_simple
-
-    classes = list(enumerate_simple(n, filter="im", dedup=True))
-    assert len(classes) == {5: 3, 6: 4}[n]
+    # every commutation class: n = 5 through the table, labeled by an
+    # isomorphism, n = 6 through one insertion
+    classes = [d for d in map(partial(WiringDiagram, n), raw_words(n, classes=True))
+               if is_in_Im(d).member]
+    assert len(classes) == {5: 22, 6: 52}[n]
     for d in classes:
         roundtrip(d)
 
@@ -113,7 +120,7 @@ def test_base_case_all_im_classes(n):
 def insertion_inputs(d):
     """The frame of ``d`` and the labeled lines of ``d`` without its wire b."""
     st = select_insertion_frame(CellComplex(d))
-    return (st, *_realize_without(d, st.wires[1], seed=0))
+    return (st, *_realize_without(d, st.wires[1]))
 
 
 def test_insert_with_correct_labels():
@@ -132,11 +139,6 @@ def test_insert_rejects_swapped_labels():
         swapped[u], swapped[v] = line_of[v], line_of[u]
         with pytest.raises(WrongLabels):
             _insert(st, lines, swapped)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_realize_n8_seeds(seed):
-    assert roundtrip(NECKLACE_8, seed=seed).n == 8
 
 
 @pytest.mark.parametrize("n", [16, 24, 48])
@@ -213,14 +215,13 @@ def place_outcomes(monkeypatch):
 
 
 def test_place_matches_fraction_oracle(place_outcomes):
-    for seed in range(4):
-        realize_im(NECKLACE_8, seed=seed)
+    realize_im(NECKLACE_8)
     for n in (16, 24):
         realize_im(necklace(n))
     for d in twelve_wire_cuts(12, 30):
         realize_im(d)
     # every level places its line, some only on the retry after a None
-    assert place_outcomes.count(True) == 4 * 2 + 10 + 18 + 30 * 6
+    assert place_outcomes.count(True) == 3 + 11 + 19 + 30 * 7
     assert False in place_outcomes
 
 
