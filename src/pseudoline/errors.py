@@ -88,8 +88,8 @@ class NoConsecutiveTriple(PseudolineError):
 
 class EpsilonExhausted(PseudolineError):
     """A construction found no room: the necklace tilt search hit its cap, or
-    the realizer found no open slot interval for a new line in either
-    sector; construction bug."""
+    the realizer found no open intercept interval for a new line at its
+    slope; construction bug."""
 
 
 class WrongLabels(PseudolineError):

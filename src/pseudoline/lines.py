@@ -13,7 +13,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import ConcurrentLines, DuplicateSlope
-from .wiring import WiringDiagram, validate_wiring
+from .wiring import WiringDiagram, _clip, validate_wiring
 
 __all__ = [
     "Line",
@@ -130,8 +130,13 @@ def parse_frac(s: str) -> Fraction:
     """An exact value written as a string: an integer, p/q or a decimal.
 
     Exponents are refused: ``Fraction("1e999999999")`` would build an
-    integer of a billion digits.
+    integer of a billion digits.  The error quotes at most 40 characters.
     """
-    if not isinstance(s, str) or "e" in s or "E" in s:
-        raise ValueError(f"not an integer, p/q or decimal string: {s!r}")
-    return Fraction(s)
+    if not isinstance(s, str):
+        raise ValueError(f"expected an integer, p/q or decimal string, got {type(s).__name__}")
+    if "e" not in s and "E" not in s:
+        try:
+            return Fraction(s)
+        except ValueError:  # its message quotes all of s
+            pass
+    raise ValueError(f"cannot read {_clip(s)} as an integer, p/q or decimal")

@@ -2,10 +2,11 @@
 
 The recursion deletes one wire b adjacent to the central polygon, realizes the
 remainder with straight lines, and re-inserts b as a line whose slope sits
-between the slopes of the lines it must separate and which crosses every
-other line between the two crossings that b's crossing falls between on
-that line's wire.  Slope and intercept are each the simplest rational
-(least denominator) of an open interval, which keeps coordinates short.
+between those of the lines of b's two neighbours in the wires' cyclic order
+at infinity, and which crosses every other line between the two crossings
+that b's crossing falls between on that line's wire.  Slope and intercept
+are each the simplest rational (least denominator) of an open interval,
+which keeps coordinates short.
 Each level returns the line of every wire, so an insertion is checked by
 labeled local sequences (Goodman & Pollack 1984): every line must cross the
 others in the order its wire does, read forwards or backwards, and the new
@@ -141,41 +142,6 @@ def _mirror(lines: list[Line]) -> list[Line]:
     return [Line(-l.slope, l.intercept) for l in lines]
 
 
-def _shear_rotate(lines: list[Line], g: Fraction) -> list[Line]:
-    # (x, y) -> (x, y - g*x) then (x, y) -> (y, -x); sends slope g to infinity
-    out = []
-    for l in lines:
-        s = l.slope - g
-        assert s != 0
-        out.append(Line(-1 / s, l.intercept / s))
-    return out
-
-
-def _is_cyclic_ascending(vals: list[Fraction]) -> bool:
-    desc = sum(1 for i in range(len(vals) - 1) if vals[i] > vals[i + 1])
-    return desc == 0 or (desc == 1 and vals[-1] < vals[0])
-
-
-def _normalize_slopes(lines: list[Line], order: list[int]) -> list[Line]:
-    """Affine moves until the lines listed in ``order`` have ascending slopes.
-
-    Raises WrongLabels when their slopes are in no cyclic order, either way
-    round: the lines are not those of the chain's wires.
-    """
-    vals = [lines[i].slope for i in order]
-    if not _is_cyclic_ascending(vals):
-        lines = _mirror(lines)
-        vals = [lines[i].slope for i in order]
-    if not _is_cyclic_ascending(vals):
-        raise WrongLabels(f"slopes {vals} of the chain lines are in no cyclic order")
-    if any(vals[i] > vals[i + 1] for i in range(len(vals) - 1)):
-        # rotate the wrap gap (vals[-1], vals[0]) off to infinity
-        lines = _shear_rotate(lines, _fresh_slope(lines, vals[-1], vals[0]))
-        vals = [lines[i].slope for i in order]
-    assert all(vals[i] < vals[i + 1] for i in range(len(vals) - 1))
-    return lines
-
-
 def realize_im(d: WiringDiagram) -> LineArrangement:
     """Exact straight-line realization, verified isomorphic to the input.
 
@@ -214,22 +180,27 @@ def _realize_without(d: WiringDiagram, b: int) -> tuple[list[Line], dict[int, in
 
 
 def _insert(st: RealizerState, lines: list[Line], line_of: dict[int, int]) -> list[Line] | None:
-    """Lines realizing st.diagram: ``lines`` after an affine map, then d*,
-    the line of the frame's wire b; None if no placement fits."""
-    a, b, c = st.wires
-    order = [line_of[w] for w in (a, *st.H, c)]
-    lines = _normalize_slopes(lines, order)
-    got = _place(st, lines, line_of, order)
-    if got is None and not st.H:
-        # Two slopes cannot pin the plane's orientation: the sector between
-        # the a* and c* directions may be the wrong one of the two where
-        # those lines cross.  Rotate that sector off to infinity and retry
-        # on the other side.
-        slopes = [lines[i].slope for i in order]
-        g = _fresh_slope(lines, slopes[0], slopes[1])
-        lines = _mirror(_shear_rotate(lines, g))
-        got = _place(st, lines, line_of, order)
-    return got
+    """Lines realizing st.diagram: ``lines``, mirrored or not, then d*, the
+    line of the frame's wire b; None if no placement fits.
+
+    Sorted by slope, the lines carry their wires in the cyclic order of the
+    wires' ends (Goodman & Pollack 1984): 1..n without b, one way round or
+    the other, else WrongLabels.  After a mirror, if needed, it is the
+    ascending way, and d*'s slope is the simplest rational in the gap
+    between the lines of b's cyclic neighbours b - 1 and b + 1; when that
+    gap runs through the vertical, the one past the steepest line.
+    """
+    n, b = st.diagram.n, st.wires[1]
+    wires = sorted(line_of, key=lambda w: lines[line_of[w]].slope)
+    start = wires.index(min(wires))
+    wires = wires[start:] + wires[:start]
+    want = [w for w in range(1, n + 1) if w != b]
+    if wires == want[:1] + want[:0:-1]:
+        lines = _mirror(lines)
+    elif wires != want:
+        raise WrongLabels(f"the lines carry wires {wires} in slope order, not {want} cyclically")
+    lo, hi = (lines[line_of[(w - 1) % n + 1]].slope for w in (b - 1, b + 1))
+    return _place(st, lines, line_of, _simplest(lo, hi) if lo < hi else _simplest(lo, None))
 
 
 def _simplest(lo: Fraction | None, hi: Fraction | None) -> Fraction:
@@ -248,28 +219,20 @@ def _simplest(lo: Fraction | None, hi: Fraction | None) -> Fraction:
     return f + 1 / _simplest(1 / (hi - f), 1 / (lo - f) if lo != f else None)
 
 
-def _fresh_slope(lines: list[Line], lo: Fraction, hi: Fraction) -> Fraction:
-    """The simplest rational strictly between lo and the least of hi and the
-    line slopes above lo: a slope inside (lo, hi) unlike every line's."""
-    # Fractions compare by cross-multiplication: no gcd, no hash
-    return _simplest(lo, min((l.slope for l in lines if lo < l.slope < hi), default=hi))
-
-
 def _place(st: RealizerState, lines: list[Line], line_of: dict[int, int],
-           order: list[int]) -> list[Line] | None:
+           sigma: Fraction) -> list[Line] | None:
     """``lines`` plus d*, the line of the frame's wire b, or None if no intercept fits.
 
     ``line_of`` maps every other wire of st.diagram to its line.  Each line
     must cross the others at strictly monotone x in its wire's local
     sequence, b left out, read forwards or backwards; WrongLabels otherwise.
-    d* has the simplest slope sigma between the chain slopes at st.k - st.t.
-    It must cross every line strictly between the two crossings that b's
-    crossing with that line's wire falls between, and meet the lines at
-    strictly monotone x in b's local sequence.  For slope sigma the slots
-    bound the intercept to an open interval, and d* takes its simplest
-    rational, which keeps coordinates short.
+    d* has slope sigma.  It must cross every line strictly between the two
+    crossings that b's crossing with that line's wire falls between, and
+    meet the lines at strictly monotone x in b's local sequence.  For slope
+    sigma the slots bound the intercept to an open interval, and d* takes
+    its simplest rational, which keeps coordinates short.
     """
-    seq, b, pos = st.local, st.wires[1], st.k - st.t
+    seq, b = st.local, st.wires[1]
     abc = [integer_line(l) for l in lines]
     slot = {}  # wire -> crossings (key, p, q) left and right of b's, None past an end
     for w, i in line_of.items():
@@ -284,9 +247,6 @@ def _place(st: RealizerState, lines: list[Line], line_of: dict[int, int],
             k = len(want) - k
         slot[w] = (row[k - 1] if k > 0 else None, row[k] if k < len(row) else None)
 
-    slopes = [lines[i].slope for i in order]
-    assert all(slopes[i] < slopes[i + 1] for i in range(len(slopes) - 1))
-    sigma = _fresh_slope(lines, slopes[pos - 1], slopes[pos])
     sn, sd = sigma.numerator, sigma.denominator
     # The shear (x, y) -> (x, y - sigma*x) makes d* the level line at its
     # intercept, and line i the line y = (m*x + c) / bb.  d* must cross the

@@ -57,14 +57,6 @@ class WiringDiagram(NamedTuple):
             seq[v].append(u)
         return {w: tuple(s) for w, s in seq.items()}
 
-    def mirror_vertical(self) -> "WiringDiagram":
-        """Top-bottom reflection: track t becomes n-t."""
-        return WiringDiagram(self.n, tuple(self.n - t for t in self.swaps))
-
-    def reverse_sweep(self) -> "WiringDiagram":
-        """Left-right reflection: the swap sequence reversed."""
-        return WiringDiagram(self.n, tuple(reversed(self.swaps)))
-
 
 def validate_wiring(n: int, swaps) -> WiringDiagram:
     """Check a swap sequence and return the immutable diagram.
@@ -153,8 +145,8 @@ def parse_diagram(text: str) -> WiringDiagram:
         n = int(lines[0].strip())
     except ValueError:
         raise ParseError(f"expected wire count, got {_clip(lines[0])}", 1) from None
-    if n < 1:
-        raise ParseError(f"wire count must be >= 1, got {n}", 1)
+    if not 1 <= n < 2**64:  # past that no swap line holds n(n-1)/2 swaps
+        raise ParseError(f"wire count must be in [1, 2**64), got {_clip(str(n), 20)}", 1)
     tokens = lines[1].split() if len(lines) > 1 else []
     swaps = []
     for col, tok in enumerate(tokens, start=1):
@@ -164,7 +156,10 @@ def parse_diagram(text: str) -> WiringDiagram:
             raise ParseError(f"bad track {_clip(tok)}", 2, col) from None
     try:
         d = validate_wiring(n, swaps)
-    except (WrongLength, BadTrack, DoubleCross) as exc:
+    except BadTrack as exc:  # the track may run to thousands of digits
+        raise ParseError(f"track {_clip(str(exc.track), 20)} outside [1, {n - 1}]",
+                         2, exc.step) from exc
+    except (WrongLength, DoubleCross) as exc:
         raise ParseError(str(exc), 2) from exc
     for i, line in enumerate(lines[2:], start=3):
         if line.strip():

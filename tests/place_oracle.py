@@ -1,12 +1,13 @@
-"""Test-only oracle: the intervals the realizer's new line must fall in.
+"""Test-only oracle: where the realizer's new line must fall.
 
-``slots`` and ``intercept_interval`` compute, wire by wire and in
-Fractions, where d* may cross each line and which intercepts put every
-crossing there for a given slope.  They share no height arithmetic with
-``pseudoline.stretch._place``, which compares the integer heights of the
-slot crossings, and serve as its reference: any slope and intercept strictly
-inside the intervals reported here are a valid placement, whichever point
-``_place`` picks.
+``cyclic_ascending`` checks the slope order of the lines against their
+wires' order at infinity.  ``slots`` and ``intercept_interval`` compute,
+wire by wire and in Fractions, where d* may cross each line and which
+intercepts put every crossing there for a given slope.  They share no
+height arithmetic with ``pseudoline.stretch._place``, which compares the
+integer heights of the slot crossings, and serve as its reference: any
+intercept strictly inside the interval reported here is a valid placement,
+whichever point ``_place`` picks.
 """
 
 from fractions import Fraction
@@ -45,9 +46,14 @@ def slots(d: WiringDiagram, b: int, lines: list[Line],
     return out
 
 
-def slope_interval(lines: list[Line], order: list[int], pos: int) -> tuple[Fraction, Fraction]:
-    """The open interval of d*'s slope: between the chain slopes at ``pos``."""
-    return lines[order[pos - 1]].slope, lines[order[pos]].slope
+def cyclic_ascending(lines: list[Line], line_of: dict[int, int]) -> bool:
+    """Whether the lines have distinct slopes and, sorted by slope, carry
+    their wires (``line_of``: wire -> line) in ascending cyclic order."""
+    by_slope = sorted(line_of, key=lambda w: lines[line_of[w]].slope)
+    slopes = [lines[line_of[w]].slope for w in by_slope]
+    start = by_slope.index(min(by_slope))
+    return (all(s < t for s, t in zip(slopes, slopes[1:]))
+            and by_slope[start:] + by_slope[:start] == sorted(by_slope))
 
 
 def intercept_interval(lines: list[Line], line_of: dict[int, int], slot: dict[int, Slot],

@@ -105,3 +105,23 @@ def test_only_is_in_Im_takes_a_diagram_and_its_complex():
                 if diagram and "cx" in names:
                     both.append(f"{path.stem}.{node.name}")
     assert both == ["analysis.is_in_Im"]
+
+
+def test_every_definition_is_used_in_the_package():
+    # No dead code: each function, class and method defined in the package
+    # is named somewhere else in it, a listing in __all__ included.  Dunder
+    # methods are called by the language.
+    defined, used = [], set()
+    for path in sorted(Path(pseudoline.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.append((f"{path.stem}.{node.name}", node.name))
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+    assert [where for where, name in defined if name not in used] == []

@@ -78,6 +78,18 @@ def test_analyze_parse_error(tmp_path, capsys):
         pytest.param(["analyze", "d.txt"], "[" * 200_000, id="long-wire-count"),
         pytest.param(["analyze", "d.txt"], "3\n1 2 " + "x" * 200_000 + "\n", id="long-track"),
         pytest.param(["analyze", "d.txt"], "3\n1 2 1\n" + "z" * 200_000, id="long-trailing-text"),
+        pytest.param(["render", "--lines", "lines.json"],
+                     '[{"slope": "' + "x" * 200_000 + '", "intercept": "0"}, '
+                     '{"slope": "1", "intercept": "2"}]', id="long-fraction"),
+        pytest.param(["render", "--lines", "lines.json"],
+                     '[{"slope": [' + ", ".join(["1"] * 50_000) + '], "intercept": "0"}, '
+                     '{"slope": "1", "intercept": "2"}]', id="long-non-string-fraction"),
+        pytest.param(["render", "--lines", "lines.json"],
+                     '[{"slope": "' + "1" * 5_000 + '", "intercept": "0"}, '
+                     '{"slope": "1", "intercept": "2"}]', id="fraction-past-the-digit-limit"),
+        pytest.param(["analyze", "d.txt"], "1" * 2_001 + "\n1\n", id="long-wire-count-mismatch"),
+        pytest.param(["analyze", "d.txt"], "-" + "1" * 2_001 + "\n1\n", id="long-negative-wire-count"),
+        pytest.param(["analyze", "d.txt"], "3\n1 2 " + "7" * 2_001 + "\n", id="long-track-number"),
     ],
 )
 def test_input_errors_exit_2(argv, content, tmp_path, monkeypatch, capsys):

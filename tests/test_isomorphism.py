@@ -9,6 +9,7 @@ from pseudoline.isomorphism import canonical_form, find_isomorphism, isomorphic
 from pseudoline.necklace import build_arrangement
 from pseudoline.wiring import WiringDiagram, validate_wiring
 
+from reflections import mirror_vertical, reverse_sweep
 from test_wiring import valid_diagrams
 from wl_oracle import wl_certificate
 
@@ -43,7 +44,7 @@ def markings(d):
     """The diagrams of all 4n markings of ``d``: 2n top cells, each mirrored or not."""
     out = []
     for _ in range(2 * d.n):
-        out += [d, d.mirror_vertical()]
+        out += [d, mirror_vertical(d)]
         d = move_top_cell(d)
     return out
 
@@ -74,8 +75,8 @@ def assert_cell_iso(d1, d2, iso):
 @settings(max_examples=40, deadline=None)
 def test_reflections_preserve_certificate(d):
     cert = canonical_form(d)
-    assert canonical_form(d.mirror_vertical()) == cert
-    assert canonical_form(d.reverse_sweep()) == cert
+    assert canonical_form(mirror_vertical(d)) == cert
+    assert canonical_form(reverse_sweep(d)) == cert
 
 
 @given(valid_diagrams)
@@ -125,13 +126,13 @@ def test_distinct_markings(d, count):
 
 @pytest.mark.parametrize("d", [ASYMMETRIC_6, SYMMETRIC_8], ids=["asymmetric6", "symmetric8"])
 def test_find_isomorphism_keeps_every_incidence(d):
-    for other in markings(d)[1::3] + [d.reverse_sweep()]:
+    for other in markings(d)[1::3] + [reverse_sweep(d)]:
         assert_cell_iso(d, other, find_isomorphism(d, other))
 
 
 def test_find_isomorphism_of_a_half_turn_reverses_every_wire():
     d = ASYMMETRIC_6
-    iso = find_isomorphism(d, d.reverse_sweep().mirror_vertical())
+    iso = find_isomorphism(d, mirror_vertical(reverse_sweep(d)))
     # without symmetries the half turn is the only isomorphism
     assert iso.wire_map == {w: w for w in range(1, 7)}
     assert iso.edge_map == {e: e - e % 6 + 5 - e % 6 for e in range(36)}
@@ -150,12 +151,12 @@ def test_distinct_n5_classes():
     a = validate_wiring(5, [1, 2, 1, 3, 4, 3, 2, 1, 3, 2])  # has a pentagon
     b = validate_wiring(5, [1, 2, 1, 3, 2, 1, 4, 3, 2, 1])  # no (>=5)-gon
     assert not isomorphic(a, b)
-    assert isomorphic(a, a.mirror_vertical())
+    assert isomorphic(a, mirror_vertical(a))
 
 
 def test_find_isomorphism_is_incidence_preserving():
     d1 = UNIQUE_4
-    d2 = d1.reverse_sweep()
+    d2 = reverse_sweep(d1)
     iso = find_isomorphism(d1, d2)
     assert iso is not None
     cx1, cx2 = CellComplex(d1), CellComplex(d2)

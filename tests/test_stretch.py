@@ -130,9 +130,32 @@ def test_insert_with_correct_labels():
     assert isomorphic(lines_to_diagram(LineArrangement(tuple(got))).diagram, NECKLACE_8)
 
 
+def shear_rotate(lines, g):
+    """The lines after (x, y) -> (x, y - g*x) and a quarter turn, which sends
+    slope g to the vertical."""
+    return [Line(-1 / (l.slope - g), l.intercept / (l.slope - g)) for l in lines]
+
+
+def test_insert_does_not_depend_on_the_child_marking():
+    # An affine map keeps every row of the child's lines up to reversal; one
+    # sending a slope in each of the n - 1 gaps to the vertical starts the
+    # cyclic slope order at each wire in turn, and a mirror reverses it.
+    st, lines, line_of = insertion_inputs(NECKLACE_8)
+    slopes = sorted(l.slope for l in lines)
+    branches = set()  # (mirrored by _insert, d* in the gap through the vertical)
+    for g in [(s + t) / 2 for s, t in zip(slopes, slopes[1:])] + [slopes[-1] + 1]:
+        turned = shear_rotate(lines, g)
+        for moved in (turned, stretch._mirror(turned)):
+            got = _insert(st, moved, line_of)
+            assert got is not None
+            assert isomorphic(lines_to_diagram(LineArrangement(tuple(got))).diagram, NECKLACE_8)
+            branches.add((got[:-1] != moved, got[-1].slope > max(l.slope for l in got[:-1])))
+    assert {m for m, _ in branches} == {w for _, w in branches} == {False, True}
+
+
 def test_insert_rejects_swapped_labels():
-    # a swap that moves a line of the slope chain stops in _normalize_slopes,
-    # the others at _place's row check; both raise WrongLabels
+    # swapping two lines breaks the cyclic order of the wires by slope, so
+    # every swap stops at _insert's wire-order check, before _place
     st, lines, line_of = insertion_inputs(NECKLACE_8)
     for u, v in itertools.combinations(sorted(line_of), 2):
         swapped = dict(line_of)
@@ -176,11 +199,11 @@ def twelve_wire_cuts(seed, count):
 @pytest.fixture
 def place_outcomes(monkeypatch):
     """Run the Fraction oracle next to every ``_place`` call.  Both must raise
-    the same exception, or else: sigma, d*'s slope (or, on None, the one
-    ``_place`` takes), lies strictly inside the oracle's slope interval and
-    is no line's slope; None comes exactly when no intercept fits for that
-    sigma; and d* adds one line whose intercept is strictly inside the
-    oracle's intercept interval.  Returns the outcomes."""
+    the same exception, or else: the lines, sorted by slope, carry their
+    wires in ascending cyclic order; None comes exactly when no intercept
+    fits for sigma; and d* adds one line of slope sigma whose intercept is
+    strictly inside the oracle's intercept interval, and which keeps the
+    cyclic order with b among the wires.  Returns the outcomes."""
     place = stretch._place
     outcomes = []
 
@@ -190,21 +213,21 @@ def place_outcomes(monkeypatch):
         except Exception as exc:  # compared with the oracle's, then re-raised
             return None, exc
 
-    def both(st, lines, line_of, order):
-        got, err = outcome(place, st, lines, line_of, order)
+    def both(st, lines, line_of, sigma):
+        got, err = outcome(place, st, lines, line_of, sigma)
         slot, want_err = outcome(place_oracle.slots, st.diagram, st.wires[1], lines, line_of)
         assert (type(err), getattr(err, "args", None)) == (type(want_err),
                                                           getattr(want_err, "args", None))
         if err:
             outcomes.append(type(err))
             raise err
-        lo, hi = place_oracle.slope_interval(lines, order, st.k - st.t)
-        sigma = got[-1].slope if got else stretch._fresh_slope(lines, lo, hi)
-        assert lo < sigma < hi and all(l.slope != sigma for l in lines)
+        assert place_oracle.cyclic_ascending(lines, line_of)
         ilo, ihi = place_oracle.intercept_interval(lines, line_of, slot, sigma)
         assert (got is None) == (ilo is not None and ihi is not None and ilo >= ihi)
         if got:
             assert got[:-1] == lines and len(got) == len(lines) + 1
+            assert got[-1].slope == sigma
+            assert place_oracle.cyclic_ascending(got, {**line_of, st.wires[1]: len(lines)})
             t = got[-1].intercept
             assert (ilo is None or ilo < t) and (ihi is None or t < ihi)
         outcomes.append(got is not None)
@@ -220,20 +243,19 @@ def test_place_matches_fraction_oracle(place_outcomes):
         realize_im(necklace(n))
     for d in twelve_wire_cuts(12, 30):
         realize_im(d)
-    # every level places its line, some only on the retry after a None
-    assert place_outcomes.count(True) == 3 + 11 + 19 + 30 * 7
-    assert False in place_outcomes
+    # every level places its line on the one call it gets
+    assert place_outcomes == [True] * (3 + 11 + 19 + 30 * 7)
 
 
 def test_place_matches_fraction_oracle_on_swapped_labels(place_outcomes):
     st, lines, line_of = insertion_inputs(NECKLACE_8)
-    a, b, c = st.wires
-    order = [line_of[w] for w in (a, *st.H, c)]
-    lines = stretch._normalize_slopes(lines, order)
+    got = _insert(st, lines, line_of)  # the lines as _place sees them, and sigma
+    lines, sigma = got[:-1], got[-1].slope
     pairs = list(itertools.combinations(sorted(line_of), 2))
     for u, v in pairs:
         swapped = dict(line_of)
         swapped[u], swapped[v] = line_of[v], line_of[u]
         with pytest.raises(WrongLabels):
-            stretch._place(st, lines, swapped, order)
-    assert place_outcomes[-len(pairs):] == [WrongLabels] * len(pairs)
+            stretch._place(st, lines, swapped, sigma)
+    # the child's levels n = 6 and 7 and b's insertion place their lines
+    assert place_outcomes == [True] * 3 + [WrongLabels] * len(pairs)

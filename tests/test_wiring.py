@@ -17,6 +17,8 @@ from pseudoline.wiring import (
     validate_wiring,
 )
 
+from reflections import mirror_vertical, reverse_sweep
+
 
 def random_word(n, rng):
     """A uniform-ish valid swap word, built by picking admissible tracks."""
@@ -77,7 +79,7 @@ def test_crossing_pairs():
 
 @given(valid_diagrams)
 def test_mirror_and_reverse_are_valid(d):
-    for other in (d.mirror_vertical(), d.reverse_sweep()):
+    for other in (mirror_vertical(d), reverse_sweep(d)):
         assert validate_wiring(other.n, other.swaps) == other
 
 
