@@ -38,8 +38,6 @@ def _load(path: str, parse: Callable[[str], T]) -> T:
             with open(path) as fh:
                 text = fh.read()
         return parse(text)
-    except KeyError as exc:
-        raise InputError(f"{path}: missing key {exc}") from exc
     except (OSError, ValueError, TypeError, ZeroDivisionError, RecursionError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -59,6 +57,11 @@ def _parse_arrangement(text: str) -> LineArrangement:
     import json
 
     entries = json.loads(text)
+    if not isinstance(entries, list):
+        raise ValueError("expected a JSON list of lines")
+    for i, e in enumerate(entries):
+        if not (isinstance(e, dict) and {"slope", "intercept"} <= e.keys()):
+            raise ValueError(f"entry {i} of the list is not a {{slope, intercept}} object")
     return LineArrangement(
         tuple(Line(parse_frac(e["slope"]), parse_frac(e["intercept"])) for e in entries)
     )

@@ -1,12 +1,15 @@
 """Constructive stretching of diagrams whose every wire carries the (>=5)-gon.
 
-The recursion deletes one wire b adjacent to the central polygon, realizes the
-remainder with straight lines, and re-inserts b as a line whose slope sits
-between those of the lines of b's two neighbours in the wires' cyclic order
-at infinity, and which crosses every other line between the two crossings
-that b's crossing falls between on that line's wire.  Slope and intercept
-are each the simplest rational (least denominator) of an open interval,
-which keeps coordinates short.
+The recursion deletes one wire b, realizes the remainder with straight
+lines, and re-inserts b.  b is the wire of the middle edge of the first run
+of three consecutive non-critical edges of the central polygon P, in
+boundary-cycle order (an edge is critical when the face across it is
+unbounded); the diagram without b is again in Im.  b returns as a line
+whose slope sits between those of the lines of b's two neighbours in the
+wires' cyclic order at infinity, and which crosses every other line between
+the two crossings that b's crossing falls between on that line's wire.
+Slope and intercept are each the simplest rational (least denominator) of
+an open interval, which keeps coordinates short.
 Each level returns the line of every wire, so an insertion is checked by
 labeled local sequences (Goodman & Pollack 1984): every line must cross the
 others in the order its wire does, read forwards or backwards, and the new
@@ -22,7 +25,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key
 from math import ceil, floor
-from typing import NamedTuple
 
 from .analysis import critical_edges, is_in_Im
 from .cells import CellComplex
@@ -37,7 +39,7 @@ from .lines import (Line, LineArrangement, crossing_key, integer_line, lines_to_
 from .isomorphism import canonical_form, find_isomorphism, isomorphic
 from .wiring import WiringDiagram, induced_subarrangement
 
-__all__ = ["RealizerState", "select_insertion_frame", "realize_im", "BASE_N"]
+__all__ = ["select_insertion_frame", "realize_im", "BASE_N"]
 
 BASE_N = 5  # Im starts at 5 wires; a 6-wire Im diagram keeps a frame to delete
 
@@ -50,82 +52,24 @@ BASE_LINES = {
 }
 
 
-class RealizerState(NamedTuple):
-    """Insertion frame: three consecutive non-critical edges of P."""
-
-    diagram: WiringDiagram
-    P: int
-    edges: tuple[int, int, int]  # a', b', c'
-    wires: tuple[int, int, int]  # a, b, c
-    seq: dict[int, tuple[int, ...]]  # wire -> crossing order, P on the left
-    k: int  # a_k = c
-    t: int  # b_t = a
-    r: int  # c_r = a
-    H: tuple[int, ...]  # a_1 .. a_{k-r-1}
-    local: dict[int, tuple[int, ...]]  # every wire's local sequence
-
-
-def _try_frame(cx: CellComplex, P: int, local: dict[int, tuple[int, ...]],
-               ea: int, eb: int, ec: int) -> RealizerState | None:
-    n = cx.n
-    a, b, c = (cx.edge_wire(e) for e in (ea, eb, ec))
-    # ``local`` runs left to right; a wire with P below its frame edge runs backwards
-    seq = {w: local[w] if cx.sw.upper_face[e] == P else local[w][::-1]
-           for w, e in ((a, ea), (b, eb), (c, ec))}
-    sa, sb, sc = seq[a], seq[b], seq[c]
-    k = sa.index(c) + 1
-    t = sb.index(a) + 1
-    r = sc.index(a) + 1
-    ok = (
-        3 <= k <= n - 1 and 2 <= t <= n - 3 and 1 <= r <= n - 3
-        and r <= t <= k - 1
-        and sa[k - 2] == b  # a_{k-1} = b (triangle on a')
-        and sb[t] == c      # b_{t+1} = c (triangle on b')
-        and sc[r] == b      # c_{r+1} = b (triangle on c')
-    )
-    if not ok:
-        return None
-    # interleaving identities around the two crossing fans
-    for j in range(1, t):
-        if sb[t - j - 1] != sa[k - j - 2]:
-            return None
-        if j <= r - 1 and sb[t - j - 1] != sc[r - j - 1]:
-            return None
-    for i in range(1, n - t - 1):
-        if sb[t + i] != sc[r + i]:
-            return None
-        if i <= n - k - 1 and sb[t + i] != sa[k + i - 1]:
-            return None
-    H = sa[: k - r - 1]
-    for ell in range(1, k - r):
-        if sc[n + r - k + ell - 1] != sa[ell - 1]:
-            return None
-    return RealizerState(cx.diagram, P, (ea, eb, ec), (a, b, c), seq, k, t, r, H, local)
-
-
-def select_insertion_frame(cx: CellComplex) -> RealizerState:
-    """Pick three consecutive non-critical edges of P, in a working orientation."""
+def select_insertion_frame(cx: CellComplex) -> int:
+    """b: the wire of the middle edge of the first run of three consecutive
+    non-critical edges of P, in boundary-cycle order."""
     P = _central_face(cx)
     flags = critical_edges(cx, P)
     cycle = tuple(flags)  # keyed in boundary-cycle order
-    local = cx.diagram.local_sequences()
     m = len(cycle)
     for i in range(m):
-        trip = tuple(cycle[(i + j) % m] for j in range(3))
-        if any(flags[e] for e in trip):
-            continue
-        for ea, eb, ec in (trip, trip[::-1]):
-            st = _try_frame(cx, P, local, ea, eb, ec)
-            if st is not None:
-                return st
-    raise NoConsecutiveTriple(f"no usable frame on face {P}")
+        if not any(flags[cycle[(i + j) % m]] for j in range(3)):
+            return cx.edge_wire(cycle[(i + 1) % m])
+    raise NoConsecutiveTriple(f"no three consecutive non-critical edges on face {P}")
 
 
 def _central_face(cx: CellComplex) -> int:
     """P, the (>=5)-gon on which every wire has an edge; NotInIm if none is."""
     im = is_in_Im(cx.diagram, cx)
     if not im.member:
-        raise NotInIm(f"diagram {cx.diagram.swaps} has no all-wire (>=5)-gon")
+        raise NotInIm(f"the {cx.n}-wire diagram has no all-wire (>=5)-gon")
     return im.face
 
 
@@ -152,7 +96,7 @@ def realize_im(d: WiringDiagram) -> LineArrangement:
     lines, _ = _realize(CellComplex(d))
     arr = LineArrangement(tuple(lines))
     if not isomorphic(lines_to_diagram(arr).diagram, d):
-        raise WrongLabels(f"realization of {d.swaps} is not isomorphic to it")
+        raise WrongLabels(f"the realization of the {d.n}-wire diagram is not isomorphic to it")
     return arr
 
 
@@ -162,12 +106,11 @@ def _realize(cx: CellComplex) -> tuple[list[Line], dict[int, int]]:
     if d.n <= BASE_N:
         _central_face(cx)  # NotInIm, not a missing table entry
         return _realize_base(d)
-    st = select_insertion_frame(cx)
-    b = st.wires[1]
+    b = select_insertion_frame(cx)
     lines, line_of = _realize_without(d, b)
-    got = _insert(st, lines, line_of)
+    got = _insert(d, b, lines, line_of)
     if got is None:
-        raise EpsilonExhausted(f"insertion failed for {d.swaps}")
+        raise EpsilonExhausted(f"no line fits wire {b} of the {d.n}-wire diagram")
     line_of[b] = len(got) - 1
     return got, line_of
 
@@ -179,9 +122,10 @@ def _realize_without(d: WiringDiagram, b: int) -> tuple[list[Line], dict[int, in
     return lines, {w: line_of_child[v] for w, v in ind.wire_map.items()}
 
 
-def _insert(st: RealizerState, lines: list[Line], line_of: dict[int, int]) -> list[Line] | None:
-    """Lines realizing st.diagram: ``lines``, mirrored or not, then d*, the
-    line of the frame's wire b; None if no placement fits.
+def _insert(d: WiringDiagram, b: int, lines: list[Line],
+            line_of: dict[int, int]) -> list[Line] | None:
+    """Lines realizing ``d``: ``lines``, mirrored or not, then d*, the line
+    of wire b; None if no placement fits.
 
     Sorted by slope, the lines carry their wires in the cyclic order of the
     wires' ends (Goodman & Pollack 1984): 1..n without b, one way round or
@@ -190,7 +134,7 @@ def _insert(st: RealizerState, lines: list[Line], line_of: dict[int, int]) -> li
     between the lines of b's cyclic neighbours b - 1 and b + 1; when that
     gap runs through the vertical, the one past the steepest line.
     """
-    n, b = st.diagram.n, st.wires[1]
+    n = d.n
     wires = sorted(line_of, key=lambda w: lines[line_of[w]].slope)
     start = wires.index(min(wires))
     wires = wires[start:] + wires[:start]
@@ -200,7 +144,8 @@ def _insert(st: RealizerState, lines: list[Line], line_of: dict[int, int]) -> li
     elif wires != want:
         raise WrongLabels(f"the lines carry wires {wires} in slope order, not {want} cyclically")
     lo, hi = (lines[line_of[(w - 1) % n + 1]].slope for w in (b - 1, b + 1))
-    return _place(st, lines, line_of, _simplest(lo, hi) if lo < hi else _simplest(lo, None))
+    sigma = _simplest(lo, hi) if lo < hi else _simplest(lo, None)
+    return _place(d.local_sequences(), b, lines, line_of, sigma)
 
 
 def _simplest(lo: Fraction | None, hi: Fraction | None) -> Fraction:
@@ -219,20 +164,20 @@ def _simplest(lo: Fraction | None, hi: Fraction | None) -> Fraction:
     return f + 1 / _simplest(1 / (hi - f), 1 / (lo - f) if lo != f else None)
 
 
-def _place(st: RealizerState, lines: list[Line], line_of: dict[int, int],
-           sigma: Fraction) -> list[Line] | None:
-    """``lines`` plus d*, the line of the frame's wire b, or None if no intercept fits.
+def _place(seq: dict[int, tuple[int, ...]], b: int, lines: list[Line],
+           line_of: dict[int, int], sigma: Fraction) -> list[Line] | None:
+    """``lines`` plus d*, the line of wire b, or None if no intercept fits.
 
-    ``line_of`` maps every other wire of st.diagram to its line.  Each line
-    must cross the others at strictly monotone x in its wire's local
-    sequence, b left out, read forwards or backwards; WrongLabels otherwise.
+    ``seq`` holds every wire's local sequence, and ``line_of`` maps every
+    wire but b to its line.  Each line must cross the others at strictly
+    monotone x in its wire's local sequence, b left out, read forwards or
+    backwards; WrongLabels otherwise.
     d* has slope sigma.  It must cross every line strictly between the two
     crossings that b's crossing with that line's wire falls between, and
     meet the lines at strictly monotone x in b's local sequence.  For slope
     sigma the slots bound the intercept to an open interval, and d* takes
     its simplest rational, which keeps coordinates short.
     """
-    seq, b = st.local, st.wires[1]
     abc = [integer_line(l) for l in lines]
     slot = {}  # wire -> crossings (key, p, q) left and right of b's, None past an end
     for w, i in line_of.items():

@@ -23,7 +23,6 @@ SweepResult = namedtuple(
         "n",
         "cross_u",  # per step: upper wire before the swap
         "cross_v",  # per step: lower wire before the swap
-        "cross_track",  # per step: 1-based track
         "wire_steps",  # flat (n-1) steps per wire, crossing order along the wire
         "upper_face",  # per edge id: face above
         "lower_face",  # per edge id: face below
@@ -38,7 +37,6 @@ def sweep_arrays(n, swaps):
     nsteps = len(swaps)
     cross_u = [0] * nsteps
     cross_v = [0] * nsteps
-    cross_track = [0] * nsteps
     wire_steps = [0] * (n * (n - 1))
     upper_face = [-1] * (n * n)
     lower_face = [-1] * (n * n)
@@ -57,7 +55,6 @@ def sweep_arrays(n, swaps):
         v = perm[t]
         cross_u[s] = u
         cross_v[s] = v
-        cross_track[s] = t
         cu = cross_count[u]
         cv = cross_count[v]
         eu = (u - 1) * n + cu
@@ -87,7 +84,6 @@ def sweep_arrays(n, swaps):
         n,
         cross_u,
         cross_v,
-        cross_track,
         wire_steps,
         upper_face,
         lower_face,

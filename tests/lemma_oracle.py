@@ -34,10 +34,10 @@ def _track_table(d: WiringDiagram) -> list[list[int]]:
     return out
 
 
-def _region(sw, f: int) -> int:
+def _region(cx: CellComplex, f: int) -> int:
     """The region of face f: faces 0..n are the regions at the far left, and
     the face opened at a step lies in the region of that step's track."""
-    return f if f <= sw.n else sw.cross_track[sw.face_open[f]]
+    return f if f <= cx.n else cx.diagram.swaps[cx.sw.face_open[f]]
 
 
 def _face_in(cx: CellComplex, f: int, kept, region: int, lo: int, hi: int,
@@ -54,7 +54,7 @@ def _face_in(cx: CellComplex, f: int, kept, region: int, lo: int, hi: int,
     if not lo <= s < hi:
         return False
     row = track_after[s]
-    rf = _region(sw, f)
+    rf = _region(cx, f)
     return sum(1 for w in kept if row[w] <= rf) == region
 
 
@@ -81,7 +81,7 @@ def triangle_region_witnesses(d: WiringDiagram, cx: CellComplex) -> dict:
             lo, hi = min(s1, s2, s_pq), max(s1, s2, s_pq)
             # region of T = kept wires above the first crossing of the
             # triple, plus one (the crossing occupies the next two tracks)
-            t0 = sw.cross_track[lo]
+            t0 = d.swaps[lo]
             row = track_after[lo]
             region = sum(1 for w in kept if w not in (sw.cross_u[lo], sw.cross_v[lo])
                          and row[w] < t0) + 1
@@ -117,7 +117,7 @@ def uncrossed_edge_witnesses(d: WiringDiagram, cx: CellComplex) -> dict:
                 m = len(cycle)
                 q_lo = pstep[sub_cx.sw.face_open[Q]]
                 q_hi = pstep[sub_cx.sw.face_close[Q]]
-                q_region = _region(sub_cx.sw, Q)
+                q_region = _region(sub_cx, Q)
                 inside = [f for f in ge5
                           if _face_in(cx, f, kept, q_region, q_lo, q_hi, track_after)]
                 for i in range(m):

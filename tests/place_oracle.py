@@ -14,21 +14,20 @@ from fractions import Fraction
 
 from pseudoline.errors import WrongLabels
 from pseudoline.lines import Line, crossing_key, integer_line, monotone
-from pseudoline.wiring import WiringDiagram
 
 Slot = tuple[Fraction | None, Fraction | None]
 
 
-def slots(d: WiringDiagram, b: int, lines: list[Line],
+def slots(seq: dict[int, tuple[int, ...]], b: int, lines: list[Line],
           line_of: dict[int, int]) -> dict[int, Slot]:
     """Per wire w != b, the x's of the crossings on w's line left and right of
     b's crossing, None past an end.
 
-    ``line_of`` maps every other wire of ``d`` to its line.  Each line must
-    cross the others at strictly monotone x in its wire's local sequence, b
-    left out, read forwards or backwards; WrongLabels otherwise.
+    ``seq`` holds every wire's local sequence, and ``line_of`` maps every
+    wire but b to its line.  Each line must cross the others at strictly
+    monotone x in its wire's local sequence, b left out, read forwards or
+    backwards; WrongLabels otherwise.
     """
-    seq = d.local_sequences()
     abc = [integer_line(l) for l in lines]
     out = {}
     for w, i in line_of.items():

@@ -269,8 +269,8 @@ def test_criterion_09_realizer_roundtrip(necklace_diagrams):
         # the Im diagrams the recursion itself will visit
         cur = d
         while cur.n > BASE_N:
-            st = select_insertion_frame(CellComplex(cur))
-            kept = [w for w in range(1, cur.n + 1) if w != st.wires[1]]
+            b = select_insertion_frame(CellComplex(cur))
+            kept = [w for w in range(1, cur.n + 1) if w != b]
             cur = induced_subarrangement(cur, kept).diagram
             targets.append(cur)
     bad = None

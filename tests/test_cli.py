@@ -90,6 +90,8 @@ def test_analyze_parse_error(tmp_path, capsys):
         pytest.param(["analyze", "d.txt"], "1" * 2_001 + "\n1\n", id="long-wire-count-mismatch"),
         pytest.param(["analyze", "d.txt"], "-" + "1" * 2_001 + "\n1\n", id="long-negative-wire-count"),
         pytest.param(["analyze", "d.txt"], "3\n1 2 " + "7" * 2_001 + "\n", id="long-track-number"),
+        pytest.param(["render", "--lines", "lines.json"], '[{"slope": "1", "intercept": "0"}, 3]',
+                     id="line-not-an-object"),
     ],
 )
 def test_input_errors_exit_2(argv, content, tmp_path, monkeypatch, capsys):
@@ -99,6 +101,19 @@ def test_input_errors_exit_2(argv, content, tmp_path, monkeypatch, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 120
+
+
+@pytest.mark.parametrize("content, want", [
+    ('{"slope": "1", "intercept": "0"}', "expected a JSON list of lines"),
+    ('[{"slope": "1", "intercept": "0"}, 3]', "entry 1 of the list is not a {slope, intercept} object"),
+    ('[{"slope": "1", "intercept": "0"}, {"slope": "2"}]',
+     "entry 1 of the list is not a {slope, intercept} object"),
+])
+def test_line_json_shape_errors_name_the_entry(content, want, tmp_path, capsys):
+    p = tmp_path / "lines.json"
+    p.write_text(content)
+    assert main(["render", "--lines", str(p)]) == 2
+    assert want in capsys.readouterr().err
 
 
 def test_enumerate_count(capsys):
@@ -294,8 +309,14 @@ def test_arrangement_json_is_json_dumps():
 
 
 def test_realize_rejects_non_im(tmp_path, capsys):
-    path = write_diagram(tmp_path, "4\n2 1 3 2 1 3\n")
-    assert main(["realize", path]) == 1
+    # the second is the bubble-sort diagram of 200 wires: the error quotes no swap word
+    for text in ("4\n2 1 3 2 1 3\n",
+                 "200\n" + " ".join(str(t) for i in range(199, 0, -1)
+                                    for t in range(1, i + 1)) + "\n"):
+        path = write_diagram(tmp_path, text)
+        assert main(["realize", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 120
 
 
 def test_realize_exits_1_when_the_round_trip_fails(tmp_path, monkeypatch, capsys):

@@ -57,37 +57,39 @@ def test_base_case_pentagon():
     roundtrip(PENTAGON_5)
 
 
-def test_crossing_sequence_orientation():
-    # each frame wire runs with P on its left: left to right when P is above
-    # its frame edge, so its sequence is its local sequence, else reversed
-    cx = CellComplex(PENTAGON_5)
-    st = select_insertion_frame(cx)
-    local = PENTAGON_5.local_sequences()
-    assert set(st.seq) == set(st.wires)
-    for w, e in zip(st.wires, st.edges):
-        assert cx.edge_wire(e) == w
-        forward = cx.sw.upper_face[e] == st.P
-        assert st.seq[w] == (local[w] if forward else local[w][::-1])
+def first_middle_wire(d):
+    """The wire of the middle edge of the first run of three consecutive
+    non-critical edges of P, in boundary-cycle order."""
+    cx = CellComplex(d)
+    P = is_in_Im(d).face
+    cycle = cx.boundary_cycle(P)
+    noncritical = [cx.face_bounded(cx.twin(e, P)) for e in cycle]
+    m = len(cycle)
+    i = next(i for i in range(m) if all(noncritical[(i + j) % m] for j in range(3)))
+    return cx.edge_wire(cycle[(i + 1) % m])
 
 
-def test_frame_invariants_n7():
-    _, d = build_arrangement(4, enumerate_selfdual(4)[0])
-    # delete one wire of the 8-gon diagram to get a 7-wire Im instance
-    from pseudoline.wiring import induced_subarrangement
+def test_insertion_wire(monkeypatch):
+    # every 6-wire Im class, and every level of a 16-wire realization
+    levels = []
+    select = stretch.select_insertion_frame
 
-    st7 = select_insertion_frame(CellComplex(d))
-    b = st7.wires[1]
-    ind = induced_subarrangement(d, [w for w in range(1, 9) if w != b])
-    assert ind.diagram.n == 7
-    st = select_insertion_frame(CellComplex(ind.diagram))
-    n = 7
-    assert 3 <= st.k <= n - 1 and 2 <= st.t <= n - 3 and 1 <= st.r <= n - 3
-    assert st.r <= st.t <= st.k - 1
-    a, bb, c = st.wires
-    assert st.seq[a][st.k - 1] == c
-    assert st.seq[bb][st.t - 1] == a
-    assert st.seq[c][st.r - 1] == a
-    assert len(st.H) == st.k - st.r - 1
+    def record(cx):
+        b = select(cx)
+        levels.append((cx.diagram, b))
+        return b
+
+    monkeypatch.setattr(stretch, "select_insertion_frame", record)
+    realize_im(necklace(16))
+    assert [d.n for d, _ in levels] == list(range(16, BASE_N, -1))
+    six = [d for d in map(partial(WiringDiagram, 6), raw_words(6, classes=True))
+           if is_in_Im(d).member]
+    assert len(six) == 52
+    levels += [(d, select(CellComplex(d))) for d in six]
+    for d, b in levels:
+        assert b == first_middle_wire(d)
+        kept = [w for w in range(1, d.n + 1) if w != b]
+        assert is_in_Im(induced_subarrangement(d, kept).diagram).member
 
 
 def test_recursive_realization_n8():
@@ -118,14 +120,14 @@ def test_base_case_all_im_classes(n):
 
 
 def insertion_inputs(d):
-    """The frame of ``d`` and the labeled lines of ``d`` without its wire b."""
-    st = select_insertion_frame(CellComplex(d))
-    return (st, *_realize_without(d, st.wires[1]))
+    """The wire b that ``d`` inserts last, and the labeled lines of ``d`` without it."""
+    b = select_insertion_frame(CellComplex(d))
+    return (b, *_realize_without(d, b))
 
 
 def test_insert_with_correct_labels():
-    st, lines, line_of = insertion_inputs(NECKLACE_8)
-    got = _insert(st, lines, line_of)
+    b, lines, line_of = insertion_inputs(NECKLACE_8)
+    got = _insert(NECKLACE_8, b, lines, line_of)
     assert got is not None and len(got) == 8
     assert isomorphic(lines_to_diagram(LineArrangement(tuple(got))).diagram, NECKLACE_8)
 
@@ -140,13 +142,13 @@ def test_insert_does_not_depend_on_the_child_marking():
     # An affine map keeps every row of the child's lines up to reversal; one
     # sending a slope in each of the n - 1 gaps to the vertical starts the
     # cyclic slope order at each wire in turn, and a mirror reverses it.
-    st, lines, line_of = insertion_inputs(NECKLACE_8)
+    b, lines, line_of = insertion_inputs(NECKLACE_8)
     slopes = sorted(l.slope for l in lines)
     branches = set()  # (mirrored by _insert, d* in the gap through the vertical)
     for g in [(s + t) / 2 for s, t in zip(slopes, slopes[1:])] + [slopes[-1] + 1]:
         turned = shear_rotate(lines, g)
         for moved in (turned, stretch._mirror(turned)):
-            got = _insert(st, moved, line_of)
+            got = _insert(NECKLACE_8, b, moved, line_of)
             assert got is not None
             assert isomorphic(lines_to_diagram(LineArrangement(tuple(got))).diagram, NECKLACE_8)
             branches.add((got[:-1] != moved, got[-1].slope > max(l.slope for l in got[:-1])))
@@ -156,12 +158,12 @@ def test_insert_does_not_depend_on_the_child_marking():
 def test_insert_rejects_swapped_labels():
     # swapping two lines breaks the cyclic order of the wires by slope, so
     # every swap stops at _insert's wire-order check, before _place
-    st, lines, line_of = insertion_inputs(NECKLACE_8)
+    b, lines, line_of = insertion_inputs(NECKLACE_8)
     for u, v in itertools.combinations(sorted(line_of), 2):
         swapped = dict(line_of)
         swapped[u], swapped[v] = line_of[v], line_of[u]
         with pytest.raises(WrongLabels):
-            _insert(st, lines, swapped)
+            _insert(NECKLACE_8, b, lines, swapped)
 
 
 @pytest.mark.parametrize("n", [16, 24, 48])
@@ -213,9 +215,9 @@ def place_outcomes(monkeypatch):
         except Exception as exc:  # compared with the oracle's, then re-raised
             return None, exc
 
-    def both(st, lines, line_of, sigma):
-        got, err = outcome(place, st, lines, line_of, sigma)
-        slot, want_err = outcome(place_oracle.slots, st.diagram, st.wires[1], lines, line_of)
+    def both(seq, b, lines, line_of, sigma):
+        got, err = outcome(place, seq, b, lines, line_of, sigma)
+        slot, want_err = outcome(place_oracle.slots, seq, b, lines, line_of)
         assert (type(err), getattr(err, "args", None)) == (type(want_err),
                                                           getattr(want_err, "args", None))
         if err:
@@ -227,7 +229,7 @@ def place_outcomes(monkeypatch):
         if got:
             assert got[:-1] == lines and len(got) == len(lines) + 1
             assert got[-1].slope == sigma
-            assert place_oracle.cyclic_ascending(got, {**line_of, st.wires[1]: len(lines)})
+            assert place_oracle.cyclic_ascending(got, {**line_of, b: len(lines)})
             t = got[-1].intercept
             assert (ilo is None or ilo < t) and (ihi is None or t < ihi)
         outcomes.append(got is not None)
@@ -248,14 +250,14 @@ def test_place_matches_fraction_oracle(place_outcomes):
 
 
 def test_place_matches_fraction_oracle_on_swapped_labels(place_outcomes):
-    st, lines, line_of = insertion_inputs(NECKLACE_8)
-    got = _insert(st, lines, line_of)  # the lines as _place sees them, and sigma
+    b, lines, line_of = insertion_inputs(NECKLACE_8)
+    got = _insert(NECKLACE_8, b, lines, line_of)  # the lines as _place sees them, and sigma
     lines, sigma = got[:-1], got[-1].slope
     pairs = list(itertools.combinations(sorted(line_of), 2))
     for u, v in pairs:
         swapped = dict(line_of)
         swapped[u], swapped[v] = line_of[v], line_of[u]
         with pytest.raises(WrongLabels):
-            stretch._place(st, lines, swapped, sigma)
+            stretch._place(NECKLACE_8.local_sequences(), b, lines, swapped, sigma)
     # the child's levels n = 6 and 7 and b's insertion place their lines
     assert place_outcomes == [True] * 3 + [WrongLabels] * len(pairs)
