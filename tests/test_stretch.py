@@ -57,6 +57,48 @@ def test_base_case_pentagon():
     roundtrip(PENTAGON_5)
 
 
+def crossing_order(lines, i):
+    """The other lines, as indices, in the left-to-right order line i crosses them."""
+    l = lines[i]
+    others = [j for j in range(len(lines)) if j != i]
+    return sorted(others, key=lambda j: (lines[j].intercept - l.intercept)
+                  / (l.slope - lines[j].slope))
+
+
+def test_crossing_sequence_orientation():
+    # each wire's line crosses the others in its wire's local sequence, read
+    # forwards or backwards, and the lines of the cyclic slope order run
+    # through the wires one way round or the other
+    for d in (PENTAGON_5, NECKLACE_8, necklace(16)):
+        lines, line_of = stretch._realize(CellComplex(d))
+        wire_of = {i: w for w, i in line_of.items()}
+        assert sorted(wire_of) == list(range(d.n))
+        local = d.local_sequences()
+        for w, i in line_of.items():
+            got = tuple(wire_of[j] for j in crossing_order(lines, i))
+            assert got in (local[w], local[w][::-1])
+        by_slope = sorted(line_of, key=lambda w: lines[line_of[w]].slope)
+        start = by_slope.index(1)
+        cyc = by_slope[start:] + by_slope[:start]
+        assert cyc in (list(range(1, d.n + 1)), [1] + list(range(d.n, 1, -1)))
+
+
+def test_frame_invariants_n7():
+    # delete the insertion wire of an 8-wire necklace diagram to get a
+    # 7-wire Im instance; its own insertion wire again leaves Im behind
+    _, d = build_arrangement(4, enumerate_selfdual(4)[0])
+    b8 = select_insertion_frame(CellComplex(d))
+    assert b8 == first_middle_wire(d)
+    ind = induced_subarrangement(d, [w for w in range(1, 9) if w != b8])
+    assert ind.diagram.n == 7 and is_in_Im(ind.diagram).member
+    d7 = ind.diagram
+    b = select_insertion_frame(CellComplex(d7))
+    assert 1 <= b <= 7 and b == first_middle_wire(d7)
+    six = induced_subarrangement(d7, [w for w in range(1, 8) if w != b]).diagram
+    assert six.n == 6 and is_in_Im(six).member
+    roundtrip(d7)
+
+
 def first_middle_wire(d):
     """The wire of the middle edge of the first run of three consecutive
     non-critical edges of P, in boundary-cycle order."""
