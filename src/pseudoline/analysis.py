@@ -3,7 +3,7 @@
 The counting fact being verified: an arrangement with exactly one (>=5)-gon P
 has n - k triangles and k + n(n-5)/2 quadrilaterals, where k counts the edges
 of P adjacent to an unbounded cell of the subarrangement induced by P's
-wires.
+wires.  k is read off P's own crossings; that subarrangement is never built.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .cells import CellComplex
 from .errors import MultipleGe5Gons, NoGe5Gon, UnboundedFace
-from .wiring import WiringDiagram, induced_subarrangement
+from .wiring import WiringDiagram
 
 __all__ = [
     "FaceCensus",
@@ -90,30 +90,23 @@ def critical_edges(cx: CellComplex, f: int) -> dict[int, bool]:
 def criticality_k(cx: CellComplex) -> CriticalityReport:
     """Criticality of an arrangement with exactly one (>=5)-gon P.
 
-    Each edge of P survives unchanged into the subarrangement induced by P's
-    wires (nothing crosses a face edge, and P's vertices join wires of P), so
-    the edge-to-super-edge map is span-preserving; an edge counts toward k
-    when the induced face across it, away from P, is unbounded.
+    Let e be an edge of P on wire w, between the edges on wires a and c in
+    P's boundary cycle.  e cuts the region on P's side of both a and c into
+    P and a far part; a wire of P entering the far part could leave it only
+    across a or c, away from P, and never bound P.  So the far part is the
+    face across e in the subarrangement of P's wires, and it is unbounded
+    (e counts toward k) exactly when a and c cross on P's side of w.
     """
     p = find_unique_ge5(cx)
     if p is None:
         raise NoGe5Gon(f"n={cx.n}")
-    wires = tuple(sorted(cx.face_wires(p)))
-    ind = induced_subarrangement(cx.diagram, wires)
-    sub = CellComplex(ind.diagram)
+    cycle = cx.boundary_cycle(p)
+    wires = [cx.edge_wire(e) for e in cycle]
     flags: dict[int, bool] = {}
-    for e in cx.boundary_cycle(p):
-        w = ind.wire_map[cx.edge_wire(e)]
-        l, r = cx.edge_span(e)
-        l2, r2 = ind.step_map[l], ind.step_map[r]
-        steps = sub.wire_crossing_steps(w)
-        j = steps.index(l2)
-        assert steps[j + 1] == r2, "edge endpoints not consecutive in induced"
-        eid2 = (w - 1) * sub.n + j + 1
-        p_above = cx.sw.upper_face[e] == p
-        other = sub.sw.lower_face[eid2] if p_above else sub.sw.upper_face[eid2]
-        flags[e] = not sub.face_bounded(other)
-    return CriticalityReport(p, wires, sum(flags.values()), flags)
+    for i, e in enumerate(cycle):
+        a, w, c = wires[i - 1], wires[i], wires[(i + 1) % len(cycle)]
+        flags[e] = cx.above(a, w, cx.step_of(a, c)) == (cx.sw.upper_face[e] == p)
+    return CriticalityReport(p, tuple(sorted(wires)), sum(flags.values()), flags)
 
 
 def is_in_Im(d: WiringDiagram, cx: CellComplex | None = None) -> ImResult:

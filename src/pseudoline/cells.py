@@ -71,6 +71,16 @@ class CellComplex:
             out[(a, b) if a < b else (b, a)] = s
         return out
 
+    def step_of(self, a: int, b: int) -> int:
+        """The step at which wires a and b cross."""
+        return self.crossing_step[(a, b) if a < b else (b, a)]
+
+    def above(self, o: int, ell: int, s: int) -> bool:
+        """Is wire o above wire ell at step s, s not their crossing?  Wires
+        start top to bottom in label order, so o is above ell exactly when it
+        starts above and has not crossed ell yet, or starts below and has."""
+        return (o < ell) != (self.step_of(o, ell) < s)
+
     # -- faces ---------------------------------------------------------
 
     def face_bounded(self, f: int) -> bool:

@@ -87,9 +87,9 @@ class NoConsecutiveTriple(PseudolineError):
 
 
 class EpsilonExhausted(PseudolineError):
-    """A construction found no room: the necklace tilt search hit its cap, or
-    the realizer found no open intercept interval for a new line at its
-    slope; construction bug."""
+    """A construction found no room: the necklace tilt left no all-line
+    central face, or the realizer found no open intercept interval for a new
+    line at its slope; construction bug."""
 
 
 class WrongLabels(PseudolineError):

@@ -135,8 +135,7 @@ def find_isomorphism(d1: WiringDiagram, d2: WiringDiagram) -> CellIso | None:
     cx1, cx2 = CellComplex(d1), CellComplex(d2)
     vertex_map = {}
     for (a, b), s in cx1.crossing_step.items():
-        a2, b2 = wire_map[a], wire_map[b]
-        vertex_map[s] = cx2.crossing_step[(a2, b2) if a2 < b2 else (b2, a2)]
+        vertex_map[s] = cx2.step_of(wire_map[a], wire_map[b])
     up1, lo1, up2, lo2 = cx1.sw.upper_face, cx1.sw.lower_face, cx2.sw.upper_face, cx2.sw.lower_face
     edge_map, face_map = {}, {}
     for w, w2 in wire_map.items():

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .analysis import is_in_Im, face_census
 from .cells import CellComplex
-from .errors import ConcurrentLines, EpsilonExhausted
+from .errors import EpsilonExhausted
 from .lines import Line, LineArrangement, lines_to_diagram
 
 __all__ = [
@@ -94,27 +94,21 @@ def _zonogon_lines(m: int, beads: tuple[int, ...], eps: Fraction) -> LineArrange
 def build_arrangement(m: int, beads: tuple[int, ...]) -> tuple[LineArrangement, "WiringDiagram"]:
     """Straight-line arrangement of 2m lines realizing the necklace class.
 
-    The tilt is halved until the arrangement is simple and its central face
-    is a 2m-gon carried by all 2m lines (for m >= 3 that face is the unique
-    (>=5)-gon and the membership test must pass).
+    The pairs are tilted by 1/3 over the slope index plus one.  The
+    arrangement must be simple and its central face a 2m-gon carried by all
+    2m lines (for m >= 3 that face is the unique (>=5)-gon and the
+    membership test must pass); EpsilonExhausted otherwise.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}: two lines have no central face")
     if len(beads) != 2 * m or any(beads[j] + beads[j + m] != 1 for j in range(m)):
         raise ValueError(f"beads must be a self-dual word of length {2 * m}: "
                          "bead j + m is 1 - bead j")
-    eps = Fraction(1, 3)
-    for _ in range(64):
-        arr = _zonogon_lines(m, beads, eps)
-        try:
-            res = lines_to_diagram(arr)
-        except ConcurrentLines:
-            eps /= 2
-            continue
-        if _central_face_ok(CellComplex(res.diagram), m):
-            return arr, res.diagram
-        eps /= 2
-    raise EpsilonExhausted(f"no valid tilt found for beads {beads}")
+    arr = _zonogon_lines(m, beads, Fraction(1, 3))
+    d = lines_to_diagram(arr).diagram
+    if not _central_face_ok(CellComplex(d), m):
+        raise EpsilonExhausted(f"the tilt 1/3 gives beads {beads} no central {2 * m}-gon")
+    return arr, d
 
 
 def _central_face_ok(cx: CellComplex, m: int) -> bool:

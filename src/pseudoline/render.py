@@ -42,17 +42,15 @@ def _svg(width: float, height: float, body: list[str]) -> str:
 
 
 def _wire_polylines(d: WiringDiagram, x_lo: int, x_hi: int) -> list[Polyline]:
-    """Per wire (index w-1), its polyline from x = x_lo to x = x_hi."""
-    perm = list(range(1, d.n + 1))
-    points: list[Polyline] = [[] for _ in range(d.n)]
-    for s, t in enumerate(d.swaps):
-        u, v = perm[t - 1], perm[t]
+    """Per wire (index w-1), its polyline from x = x_lo to x = x_hi.  The
+    diagram ends reversed: wire w on track n + 1 - w, at y = w - n."""
+    n = d.n
+    points: list[Polyline] = [[] for _ in range(n)]
+    for s, ((u, v), t) in enumerate(zip(d.crossing_pairs(), d.swaps)):
         points[u - 1] += [(s - HALF, Fraction(1 - t)), (s + HALF, Fraction(-t))]
         points[v - 1] += [(s - HALF, Fraction(-t)), (s + HALF, Fraction(1 - t))]
-        perm[t - 1], perm[t] = v, u
-    end_y = {w: Fraction(-i) for i, w in enumerate(perm)}
-    return [[(Fraction(x_lo), Fraction(1 - w)), *points[w - 1], (Fraction(x_hi), end_y[w])]
-            for w in range(1, d.n + 1)]
+    return [[(Fraction(x_lo), Fraction(1 - w)), *points[w - 1], (Fraction(x_hi), Fraction(w - n))]
+            for w in range(1, n + 1)]
 
 
 def _polyline_y(poly: Polyline, x: Fraction) -> Fraction:

@@ -1,7 +1,8 @@
 """Constructive stretching of diagrams whose every wire carries the (>=5)-gon.
 
-The recursion deletes one wire b, realizes the remainder with straight
-lines, and re-inserts b.  b is the wire of the middle edge of the first run
+A loop deletes one wire b per level down to n = 5, realizes that remainder
+with straight lines, and re-inserts the wires, last deleted first; the stack
+does not grow with n.  b is the wire of the middle edge of the first run
 of three consecutive non-critical edges of the central polygon P, in
 boundary-cycle order (an edge is critical when the face across it is
 unbounded); the diagram without b is again in Im.  b returns as a line
@@ -10,14 +11,13 @@ wires' cyclic order at infinity, and which crosses every other line between
 the two crossings that b's crossing falls between on that line's wire.
 Slope and intercept are each the simplest rational (least denominator) of
 an open interval, which keeps coordinates short.
-Each level returns the line of every wire, so an insertion is checked by
+Each level knows the line of every wire, so an insertion is checked by
 labeled local sequences (Goodman & Pollack 1984): every line must cross the
 others in the order its wire does, read forwards or backwards, and the new
 line is placed by its n-1 crossings alone.  Canonical forms appear only in
-the base case and in one final check of the whole result.  The recursion
-stops at n = 5, where Im has three classes: a table holds five integer lines
-for each, and the isomorphism from the target to the table's diagram labels
-the lines.
+the base case and in one final check of the whole result.  At n = 5, Im
+has three classes: a table holds five integer lines for each, and the
+isomorphism from the target to the table's diagram labels the lines.
 """
 
 from __future__ import annotations
@@ -101,25 +101,25 @@ def realize_im(d: WiringDiagram) -> LineArrangement:
 
 
 def _realize(cx: CellComplex) -> tuple[list[Line], dict[int, int]]:
-    """Lines realizing the diagram of ``cx``, and the index of the line of each wire."""
-    d = cx.diagram
-    if d.n <= BASE_N:
-        _central_face(cx)  # NotInIm, not a missing table entry
-        return _realize_base(d)
-    b = select_insertion_frame(cx)
-    lines, line_of = _realize_without(d, b)
-    got = _insert(d, b, lines, line_of)
-    if got is None:
-        raise EpsilonExhausted(f"no line fits wire {b} of the {d.n}-wire diagram")
-    line_of[b] = len(got) - 1
-    return got, line_of
-
-
-def _realize_without(d: WiringDiagram, b: int) -> tuple[list[Line], dict[int, int]]:
-    """Lines realizing ``d`` minus wire ``b``, and the line of each other wire."""
-    ind = induced_subarrangement(d, [w for w in range(1, d.n + 1) if w != b])
-    lines, line_of_child = _realize(CellComplex(ind.diagram))
-    return lines, {w: line_of_child[v] for w, v in ind.wire_map.items()}
+    """Lines realizing the diagram of ``cx``, and the index of the line of each
+    wire: each level's wire b is deleted down to BASE_N wires, and the wires
+    go back in last deleted first."""
+    levels = []  # (diagram, b), outermost first
+    while cx.n > BASE_N:
+        b = select_insertion_frame(cx)
+        levels.append((cx.diagram, b))
+        kept = [w for w in range(1, cx.n + 1) if w != b]
+        cx = CellComplex(induced_subarrangement(cx.diagram, kept).diagram)
+    _central_face(cx)  # NotInIm, not a missing table entry
+    lines, line_of = _realize_base(cx.diagram)
+    for d, b in reversed(levels):
+        # child wire v is the v-th wire of d other than b
+        line_of = {v + (v >= b): i for v, i in line_of.items()}
+        lines = _insert(d, b, lines, line_of)
+        if lines is None:
+            raise EpsilonExhausted(f"no line fits wire {b} of the {d.n}-wire diagram")
+        line_of[b] = len(lines) - 1
+    return lines, line_of
 
 
 def _insert(d: WiringDiagram, b: int, lines: list[Line],

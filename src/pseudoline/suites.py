@@ -117,26 +117,18 @@ def _triangle_region_faces(cx: CellComplex):
     """Per (r, s1, s2, ell): the faces on ``ell`` inside the triangular
     region T of r and the wires crossing it at the consecutive steps s1 < s2.
 
-    T lies on the side of ``ell`` where the other wire o meets r.  Wires
-    start top to bottom in label order, so o is above ``ell`` there exactly
-    when it starts above ``ell`` and has not crossed it yet, or starts below
-    and has.
+    T lies on the side of ``ell`` where the other wire o meets r.
     """
     sw = cx.sw
-    step = cx.crossing_step
-
-    def step_of(a: int, b: int) -> int:
-        return step[(a, b) if a < b else (b, a)]
-
     for r in range(1, cx.n + 1):
         steps = cx.wire_crossing_steps(r)
         for s1, s2 in zip(steps, steps[1:]):
             p = sw.cross_u[s1] + sw.cross_v[s1] - r  # r's partner at s1
             q = sw.cross_u[s2] + sw.cross_v[s2] - r
             for ell, o in ((p, q), (q, p)):
-                above = (o < ell) != (step_of(o, ell) < step_of(o, r))
-                yield (r, s1, s2, ell), _faces_along(cx, ell, step_of(ell, r),
-                                                     step_of(ell, o), above)
+                above = cx.above(o, ell, cx.step_of(o, r))
+                yield (r, s1, s2, ell), _faces_along(cx, ell, cx.step_of(ell, r),
+                                                     cx.step_of(ell, o), above)
 
 
 def check_triangle_region_lemma(cx: CellComplex) -> bool:
@@ -157,18 +149,16 @@ def _uncrossed_edge_faces(cx: CellComplex):
     n = cx.n
     for size in range(5, n):
         for kept in combinations(range(1, n + 1), size):
-            ind = induced_subarrangement(cx.diagram, list(kept))
+            ind = induced_subarrangement(cx.diagram, kept)
             if max(census_sides(size, ind.diagram.swaps), default=0) < 5:
                 continue
             sub = CellComplex(ind.diagram)
-            parent_step = {child: parent for parent, child in ind.step_map.items()}
-            parent_wire = {cw: pw for pw, cw in ind.wire_map.items()}
             for Q in sub.bounded_faces():
                 if sub.face_side_count(Q) < 5:
                     continue
                 cycle = sub.boundary_cycle(Q)
-                along = [_faces_along(cx, parent_wire[sub.edge_wire(e)],
-                                      *(parent_step[s] for s in sub.edge_span(e)),
+                along = [_faces_along(cx, kept[sub.edge_wire(e) - 1],
+                                      *(ind.parent_step[s] for s in sub.edge_span(e)),
                                       sub.sw.upper_face[e] == Q)
                          for e in cycle]
                 m = len(cycle)

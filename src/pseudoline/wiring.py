@@ -87,24 +87,20 @@ def validate_wiring(n: int, swaps) -> WiringDiagram:
 
 
 class InducedResult(NamedTuple):
-    """Induced subarrangement plus the crossing/wire correspondences.
-
-    wire_map: parent wire id -> child wire id (kept wires only).
-    step_map: parent step index (0-based) -> child step index, for steps
-    whose crossing survives.
-    """
+    """Induced subarrangement, and per child step the parent step of its
+    crossing.  Child wire i is the i-th smallest kept wire."""
 
     diagram: WiringDiagram
-    wire_map: dict[int, int]
-    step_map: dict[int, int]
+    parent_step: tuple[int, ...]
 
 
 def induced_subarrangement(d: WiringDiagram, keep) -> InducedResult:
     """Restrict ``d`` to the wires in ``keep``.
 
     The child swap sequence is the subsequence of crossings between kept
-    wires, with tracks re-indexed among the kept wires.  The relative order
-    of surviving crossings is preserved.
+    wires, in order, each at the track of its upper wire among the kept
+    wires.  That track changes only when two kept wires cross, so it is
+    swapped there: O(n^2) per call.
     """
     keep = set(keep)
     if not keep:
@@ -112,20 +108,15 @@ def induced_subarrangement(d: WiringDiagram, keep) -> InducedResult:
     bad = keep - set(range(1, d.n + 1))
     if bad:
         raise ValueError(f"unknown wires: {sorted(bad)}")
-    wire_map = {w: i + 1 for i, w in enumerate(sorted(keep))}
-    perm = list(range(1, d.n + 1))
-    sub_swaps = []
-    step_map = {}
-    for step, t in enumerate(d.swaps):
-        u, v = perm[t - 1], perm[t]
-        if u in keep and v in keep:
+    track = {w: i + 1 for i, w in enumerate(sorted(keep))}
+    sub_swaps, parent_step = [], []
+    for step, (u, v) in enumerate(d.crossing_pairs()):
+        if u in track and v in track:
             # u sits directly above v, so also adjacent among kept wires
-            sub_track = sum(1 for w in perm[: t - 1] if w in keep) + 1
-            step_map[step] = len(sub_swaps)
-            sub_swaps.append(sub_track)
-        perm[t - 1], perm[t] = v, u
-    sub = validate_wiring(len(keep), sub_swaps)
-    return InducedResult(sub, wire_map, step_map)
+            sub_swaps.append(track[u])
+            parent_step.append(step)
+            track[u], track[v] = track[v], track[u]
+    return InducedResult(validate_wiring(len(keep), sub_swaps), tuple(parent_step))
 
 
 def _clip(text: str, limit: int = 40) -> str:

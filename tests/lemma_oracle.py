@@ -16,10 +16,6 @@ from pseudoline.sweep import census_sides
 from pseudoline.wiring import WiringDiagram, induced_subarrangement
 
 
-def _parent_step_of(ind) -> dict[int, int]:
-    return {child: parent for parent, child in ind.step_map.items()}
-
-
 def _track_table(d: WiringDiagram) -> list[list[int]]:
     """track_after[s][w] = track of wire w after the swap at step s."""
     n = d.n
@@ -108,8 +104,7 @@ def uncrossed_edge_witnesses(d: WiringDiagram, cx: CellComplex) -> dict:
             if max(census_sides(size, ind.diagram.swaps), default=0) < 5:
                 continue
             sub_cx = CellComplex(ind.diagram)
-            pstep = _parent_step_of(ind)
-            parent_wire = {cw: pw for pw, cw in ind.wire_map.items()}
+            pstep = ind.parent_step
             for Q in sub_cx.bounded_faces():
                 if sub_cx.face_side_count(Q) < 5:
                     continue
@@ -121,25 +116,25 @@ def uncrossed_edge_witnesses(d: WiringDiagram, cx: CellComplex) -> dict:
                 inside = [f for f in ge5
                           if _face_in(cx, f, kept, q_region, q_lo, q_hi, track_after)]
                 for i in range(m):
-                    if not _edge_uncrossed(cx, sub_cx, cycle[i], parent_wire, pstep):
+                    if not _edge_uncrossed(cx, sub_cx, cycle[i], kept, pstep):
                         continue
                     for j in ((i - 1) % m, (i + 1) % m):
                         out[(kept, Q, cycle[i], cycle[j])] = _adjacent_edge_faces(
-                            cx, sub_cx, cycle[j], parent_wire, pstep, inside)
+                            cx, sub_cx, cycle[j], kept, pstep, inside)
     return out
 
 
-def _edge_uncrossed(cx, sub_cx, eid, parent_wire, pstep) -> bool:
+def _edge_uncrossed(cx, sub_cx, eid, kept, pstep) -> bool:
     l2, r2 = sub_cx.edge_span(eid)
-    w = parent_wire[sub_cx.edge_wire(eid)]
+    w = kept[sub_cx.edge_wire(eid) - 1]
     steps = cx.wire_crossing_steps(w)
     i1, i2 = steps.index(pstep[l2]), steps.index(pstep[r2])
     return abs(i1 - i2) == 1
 
 
-def _adjacent_edge_faces(cx, sub_cx, q_eid, parent_wire, pstep, inside) -> set[int]:
+def _adjacent_edge_faces(cx, sub_cx, q_eid, kept, pstep, inside) -> set[int]:
     l2, r2 = sub_cx.edge_span(q_eid)
-    w = parent_wire[sub_cx.edge_wire(q_eid)]
+    w = kept[sub_cx.edge_wire(q_eid) - 1]
     steps = cx.wire_crossing_steps(w)
     lo, hi = sorted((steps.index(pstep[l2]), steps.index(pstep[r2])))
     out = set()

@@ -1,6 +1,9 @@
 import json
+import random
 
 import pytest
+
+import criticality_oracle
 
 from pseudoline.analysis import (
     criticality_k,
@@ -13,8 +16,12 @@ from pseudoline.analysis import (
     verify_counting_theorem,
 )
 from pseudoline.cells import CellComplex
+from pseudoline.enumeration import raw_words
 from pseudoline.errors import MultipleGe5Gons, NoGe5Gon, UnboundedFace
-from pseudoline.wiring import validate_wiring
+from pseudoline.sweep import census_sides
+from pseudoline.wiring import WiringDiagram, validate_wiring
+
+from test_wiring import random_word
 
 PENTAGON_5 = validate_wiring(5, [1, 2, 1, 3, 4, 3, 2, 1, 3, 2])
 K2_SIX = validate_wiring(6, [1, 2, 1, 3, 2, 4, 3, 2, 1, 2, 5, 4, 3, 2, 1])
@@ -61,6 +68,38 @@ def test_criticality_k2_six_wire_instance():
     rep = criticality_k(CellComplex(K2_SIX))
     assert len(rep.wires) == 5
     assert rep.k == 2
+
+
+def one_ge5(n, words):
+    """The complexes of the words on n wires with exactly one (>=5)-gon."""
+    return [CellComplex(WiringDiagram(n, w)) for w in words
+            if sum(s >= 5 for s in census_sides(n, w)) == 1]
+
+
+def assert_flags_match_oracle(cxs):
+    for cx in cxs:
+        assert criticality_k(cx).edge_flags == criticality_oracle.edge_flags(cx), cx.diagram
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_criticality_matches_subarrangement_on_every_class(n):
+    cxs = one_ge5(n, raw_words(n, classes=True))
+    assert len(cxs) == {5: 22, 6: 460}[n]
+    assert_flags_match_oracle(cxs)
+
+
+def test_criticality_matches_subarrangement_on_sampled_classes():
+    cxs = one_ge5(7, raw_words(7, classes=True))
+    assert len(cxs) == 6372
+    assert_flags_match_oracle(random.Random(7).sample(cxs, 300))
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_criticality_matches_subarrangement_on_random_words(n):
+    rng = random.Random(n)
+    cxs = one_ge5(n, [random_word(n, rng) for _ in range(1000)])
+    assert len(cxs) >= 40
+    assert_flags_match_oracle(cxs)
 
 
 def test_is_in_im():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 from functools import partial
 
@@ -17,7 +18,6 @@ from pseudoline.necklace import build_arrangement, enumerate_selfdual
 from pseudoline.stretch import (
     BASE_N,
     _insert,
-    _realize_without,
     realize_im,
     select_insertion_frame,
 )
@@ -164,7 +164,9 @@ def test_base_case_all_im_classes(n):
 def insertion_inputs(d):
     """The wire b that ``d`` inserts last, and the labeled lines of ``d`` without it."""
     b = select_insertion_frame(CellComplex(d))
-    return (b, *_realize_without(d, b))
+    kept = [w for w in range(1, d.n + 1) if w != b]
+    lines, line_of = stretch._realize(CellComplex(induced_subarrangement(d, kept).diagram))
+    return b, lines, {kept[v - 1]: i for v, i in line_of.items()}
 
 
 def test_insert_with_correct_labels():
@@ -213,15 +215,36 @@ def test_realize_necklace_roundtrip(n):
     assert roundtrip(necklace(n)).n == n
 
 
+def seeded_necklace(n):
+    """The diagram of a self-dual necklace arrangement of n lines, beads from
+    ``random.Random(n)``."""
+    rng = random.Random(n)
+    half = tuple(rng.randint(0, 1) for _ in range(n // 2))
+    return build_arrangement(n // 2, half + tuple(1 - x for x in half))[1]
+
+
 def test_realize_n64_coordinates_stay_short():
     # each slope and intercept is the simplest rational of its open interval,
     # so no coordinate inherits the bits of the interval's ends
-    rng = random.Random(64)
-    half = tuple(rng.randint(0, 1) for _ in range(32))
-    d = build_arrangement(32, half + tuple(1 - x for x in half))[1]
-    arr = roundtrip(d)
+    arr = roundtrip(seeded_necklace(64))
     assert max(max(f.numerator.bit_length(), f.denominator.bit_length())
                for ln in arr.lines for f in ln) <= 100
+
+
+def test_realize_stack_does_not_grow_with_n():
+    # the 59 levels down to BASE_N run in a loop; 60 frames past the
+    # caller's depth could not hold a recursion of one frame per level
+    d = seeded_necklace(64)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        arr = realize_im(d)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert arr.n == 64
 
 
 def twelve_wire_cuts(seed, count):

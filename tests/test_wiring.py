@@ -110,8 +110,7 @@ def test_induced_identity():
     d = validate_wiring(4, [2, 1, 3, 2, 1, 3])
     ind = induced_subarrangement(d, [1, 2, 3, 4])
     assert ind.diagram == d
-    assert ind.wire_map == {w: w for w in range(1, 5)}
-    assert ind.step_map == {s: s for s in range(6)}
+    assert ind.parent_step == tuple(range(6))
 
 
 def test_induced_pair_order():
@@ -119,7 +118,15 @@ def test_induced_pair_order():
     d = validate_wiring(4, [2, 1, 3, 2, 1, 3])
     ind = induced_subarrangement(d, [2, 4])
     assert ind.diagram.n == 2 and ind.diagram.swaps == (1,)
-    assert ind.wire_map == {2: 1, 4: 2}
+    assert ind.parent_step == (2,) and d.crossing_pairs()[2] == (2, 4)
+
+
+def kept_crossings(d, ind, kept):
+    """The child's crossing pairs in parent wires, and the parent's crossings
+    between kept wires at the child's parent steps."""
+    kept = sorted(kept)
+    child = [(kept[u - 1], kept[v - 1]) for u, v in ind.diagram.crossing_pairs()]
+    return child, [d.crossing_pairs()[s] for s in ind.parent_step]
 
 
 def test_induced_triple_matches_crossing_order():
@@ -131,8 +138,21 @@ def test_induced_triple_matches_crossing_order():
     survivors = [
         s for s, (u, v) in enumerate(pairs) if u in keep and v in keep
     ]
-    assert sorted(ind.step_map) == survivors
-    assert [ind.step_map[s] for s in survivors] == list(range(3))
+    assert list(ind.parent_step) == survivors
+    child, parent = kept_crossings(d, ind, keep)
+    assert child == parent
+
+
+@given(valid_diagrams, st.randoms(use_true_random=False))
+def test_induced_crossings_are_the_kept_crossings(d, rng):
+    # the child crosses its wires as the parent crosses the kept wires, step
+    # for step, which fixes the child's word
+    keep = rng.sample(range(1, d.n + 1), rng.randint(1, d.n))
+    ind = induced_subarrangement(d, keep)
+    assert list(ind.parent_step) == [s for s, (u, v) in enumerate(d.crossing_pairs())
+                                     if u in keep and v in keep]
+    child, parent = kept_crossings(d, ind, keep)
+    assert child == parent
 
 
 def test_induced_errors():
