@@ -8,6 +8,7 @@ wires.  k is read off P's own crossings; that subarrangement is never built.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from .cells import CellComplex
@@ -22,6 +23,7 @@ __all__ = [
     "face_census",
     "find_unique_ge5",
     "critical_edges",
+    "critical_flags",
     "criticality_k",
     "is_in_Im",
     "verify_counting_theorem",
@@ -101,12 +103,18 @@ def criticality_k(cx: CellComplex) -> CriticalityReport:
     if p is None:
         raise NoGe5Gon(f"n={cx.n}")
     cycle = cx.boundary_cycle(p)
-    wires = [cx.edge_wire(e) for e in cycle]
-    flags: dict[int, bool] = {}
-    for i, e in enumerate(cycle):
-        a, w, c = wires[i - 1], wires[i], wires[(i + 1) % len(cycle)]
-        flags[e] = cx.above(a, w, cx.step_of(a, c)) == (cx.sw.upper_face[e] == p)
-    return CriticalityReport(p, tuple(sorted(wires)), sum(flags.values()), flags)
+    flags = dict(zip(cycle, critical_flags(cx, cycle, p)))
+    wires = tuple(sorted(cx.edge_wire(e) for e in cycle))
+    return CriticalityReport(p, wires, sum(flags.values()), flags)
+
+
+def critical_flags(cx: CellComplex, cycle: Sequence[int], p: int) -> list[bool]:
+    """Per edge of ``cycle``, face p's boundary cycle or what is left of it
+    after deleting wires: with its wire w between a and c in the cycle, do a
+    and c cross on p's side of w?"""
+    w = [cx.edge_wire(e) for e in cycle]
+    return [cx.above(a, b, cx.step_of(a, c)) == (cx.sw.upper_face[e] == p)
+            for e, a, b, c in zip(cycle, w[-1:] + w[:-1], w, w[1:] + w[:1])]
 
 
 def is_in_Im(d: WiringDiagram, cx: CellComplex | None = None) -> ImResult:

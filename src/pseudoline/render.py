@@ -9,9 +9,7 @@ crossings, the crossing at step s at x = s.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
-from operator import itemgetter
 
 from .cells import CellComplex
 from .errors import DuplicateSlope, InputError, TooFewLines
@@ -53,25 +51,16 @@ def _wire_polylines(d: WiringDiagram, x_lo: int, x_hi: int) -> list[Polyline]:
             for w in range(1, n + 1)]
 
 
-def _polyline_y(poly: Polyline, x: Fraction) -> Fraction:
-    """Height of an x-monotone polyline at ``x`` inside its span."""
-    i = bisect_left(poly, x, key=itemgetter(0))  # the first breakpoint at or right of x
-    (x1, y1), (x2, y2) = poly[i - 1], poly[i]
-    if x2 == x or y1 == y2:
-        return y2
-    return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
-
-
 def _face_polygon(cx: CellComplex, polylines: list[Polyline], f: int) -> Polyline:
-    """Boundary of a bounded face as polyline points, counter-clockwise."""
+    """Boundary of a bounded face as polyline points, counter-clockwise.
+    Each edge ends at crossings; the one at step s is at (s, 1/2 - swaps[s])."""
+    swaps = cx.diagram.swaps
     pts: Polyline = []
     for eid in cx.boundary_cycle(f):
-        poly = polylines[cx.edge_wire(eid) - 1]
-        s1, s2 = cx.edge_span(eid)
-        x1, x2 = Fraction(min(s1, s2)), Fraction(max(s1, s2))
-        seg = [(x1, _polyline_y(poly, x1))]
-        seg += [p for p in poly if x1 < p[0] < x2]
-        seg.append((x2, _polyline_y(poly, x2)))
+        s1, s2 = sorted(cx.edge_span(eid))
+        seg = [(Fraction(s1), HALF - swaps[s1])]
+        seg += [p for p in polylines[cx.edge_wire(eid) - 1] if s1 < p[0] < s2]
+        seg.append((Fraction(s2), HALF - swaps[s2]))
         if pts and pts[-1] != seg[0]:
             seg.reverse()
         if pts:

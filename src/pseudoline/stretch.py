@@ -1,39 +1,35 @@
 """Constructive stretching of diagrams whose every wire carries the (>=5)-gon.
 
-A loop deletes one wire b per level down to n = 5, realizes that remainder
-with straight lines, and re-inserts the wires, last deleted first; the stack
-does not grow with n.  b is the wire of the middle edge of the first run
-of three consecutive non-critical edges of the central polygon P, in
-boundary-cycle order (an edge is critical when the face across it is
-unbounded); the diagram without b is again in Im.  b returns as a line
-whose slope sits between those of the lines of b's two neighbours in the
-wires' cyclic order at infinity, and which crosses every other line between
-the two crossings that b's crossing falls between on that line's wire.
-Slope and intercept are each the simplest rational (least denominator) of
-an open interval, which keeps coordinates short.
-Each level knows the line of every wire, so an insertion is checked by
-labeled local sequences (Goodman & Pollack 1984): every line must cross the
-others in the order its wire does, read forwards or backwards, and the new
-line is placed by its n-1 crossings alone.  Canonical forms appear only in
-the base case and in one final check of the whole result.  At n = 5, Im
-has three classes: a table holds five integer lines for each, and the
-isomorphism from the target to the table's diagram labels the lines.
+Wires are deleted down to n = 5, that remainder is realized with straight
+lines, and the wires go back in, last deleted first, in a loop.  Each
+deleted wire is the wire of the middle edge of the first run of three
+consecutive non-critical edges of the central polygon P in boundary-cycle
+order (critical: the face across it is unbounded).  The diagram without it
+is again in Im and P's cycle just loses it, so the whole deletion order is
+read off the input's one cell complex, in the input's wire labels.  A wire
+b returns as a line whose slope sits between those of the lines of b's two
+neighbours in the wires' cyclic order at infinity, and which crosses every
+other line between the two crossings that b's crossing falls between on
+that line's wire.  Slope and intercept are each the simplest rational
+(least denominator) of an open interval, which keeps coordinates short.
+Each insertion is checked by labeled local sequences (Goodman & Pollack
+1984), the input's restricted to the wires present: every line must cross
+the others in the order its wire does, read either way.  Canonical forms
+appear only in the base case and in one final check of the whole result.
+At n = 5, Im has three classes: a table holds five integer lines for each,
+and the isomorphism from the remainder to the table's diagram labels them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cmp_to_key
 from math import ceil, floor
 
-from .analysis import critical_edges, is_in_Im
+from .analysis import critical_flags, is_in_Im
 from .cells import CellComplex
-from .errors import (
-    EpsilonExhausted,
-    NoConsecutiveTriple,
-    NotInIm,
-    WrongLabels,
-)
+from .errors import EpsilonExhausted, NoConsecutiveTriple, NotInIm, WrongLabels
 from .lines import (Line, LineArrangement, crossing_key, integer_line, lines_to_diagram,
                     monotone)
 from .isomorphism import canonical_form, find_isomorphism, isomorphic
@@ -52,30 +48,37 @@ BASE_LINES = {
 }
 
 
-def select_insertion_frame(cx: CellComplex) -> int:
-    """b: the wire of the middle edge of the first run of three consecutive
-    non-critical edges of P, in boundary-cycle order."""
-    P = _central_face(cx)
-    flags = critical_edges(cx, P)
-    cycle = tuple(flags)  # keyed in boundary-cycle order
-    m = len(cycle)
-    for i in range(m):
-        if not any(flags[cycle[(i + j) % m]] for j in range(3)):
-            return cx.edge_wire(cycle[(i + 1) % m])
-    raise NoConsecutiveTriple(f"no three consecutive non-critical edges on face {P}")
-
-
-def _central_face(cx: CellComplex) -> int:
-    """P, the (>=5)-gon on which every wire has an edge; NotInIm if none is."""
+def select_insertion_frame(cx: CellComplex) -> list[int]:
+    """The wires to delete down to BASE_N, outermost first; NotInIm if not
+    in Im.  Each is the middle wire of the first run of three non-critical
+    edges of P from its leftmost vertex.  The face across it is a triangle
+    that merges into P: P's cycle loses the wire and keeps its side of the
+    others, so the crossings of ``cx`` serve every level."""
     im = is_in_Im(cx.diagram, cx)
     if not im.member:
         raise NotInIm(f"the {cx.n}-wire diagram has no all-wire (>=5)-gon")
-    return im.face
+    # P's edges, one per wire left, from P's leftmost vertex as boundary_cycle
+    # lists them.  A deletion keeps that start: the triangle's apex lies right
+    # of the vertex, or, when the wire passes through it, left of it and
+    # between the list's two ends.
+    cycle = list(cx.boundary_cycle(im.face))
+    order = []
+    while len(cycle) > BASE_N:
+        m = len(cycle)
+        critical = critical_flags(cx, cycle, im.face)
+        i = next((i for i in range(m) if not any(critical[(i + j) % m] for j in range(3))), None)
+        if i is None:
+            raise NoConsecutiveTriple(f"no three consecutive non-critical edges on the {m}-gon")
+        order.append(cx.edge_wire(cycle.pop((i + 1) % m)))
+    return order
 
 
 def _realize_base(d: WiringDiagram) -> tuple[list[Line], dict[int, int]]:
     """The table's lines for the Im class of ``d``, and the index of the line of each wire."""
-    lines = [Line(Fraction(m), Fraction(c)) for m, c in BASE_LINES[canonical_form(d).word]]
+    table = BASE_LINES.get(canonical_form(d).word)
+    if table is None:  # the deletions left Im: a construction bug
+        raise WrongLabels(f"the {d.n}-wire base is not a {BASE_N}-wire Im class")
+    lines = [Line(Fraction(m), Fraction(c)) for m, c in table]
     res = lines_to_diagram(LineArrangement(tuple(lines)))
     iso = find_isomorphism(d, res.diagram)
     line_of = {w: i for i, w in res.wire_of_line.items()}
@@ -102,50 +105,47 @@ def realize_im(d: WiringDiagram) -> LineArrangement:
 
 def _realize(cx: CellComplex) -> tuple[list[Line], dict[int, int]]:
     """Lines realizing the diagram of ``cx``, and the index of the line of each
-    wire: each level's wire b is deleted down to BASE_N wires, and the wires
-    go back in last deleted first."""
-    levels = []  # (diagram, b), outermost first
-    while cx.n > BASE_N:
-        b = select_insertion_frame(cx)
-        levels.append((cx.diagram, b))
-        kept = [w for w in range(1, cx.n + 1) if w != b]
-        cx = CellComplex(induced_subarrangement(cx.diagram, kept).diagram)
-    _central_face(cx)  # NotInIm, not a missing table entry
-    lines, line_of = _realize_base(cx.diagram)
-    for d, b in reversed(levels):
-        # child wire v is the v-th wire of d other than b
-        line_of = {v + (v >= b): i for v, i in line_of.items()}
-        lines = _insert(d, b, lines, line_of)
+    wire: the BASE_N wires left after the deletions are realized from the
+    table, and the deleted wires go back in last deleted first."""
+    order = select_insertion_frame(cx)
+    base = sorted(set(range(1, cx.n + 1)).difference(order))
+    lines, line_of = _realize_base(induced_subarrangement(cx.diagram, base).diagram)
+    line_of = {base[v - 1]: i for v, i in line_of.items()}
+    local = cx.diagram.local_sequences()
+    for b in reversed(order):
+        lines = _insert(local, b, lines, line_of)
         if lines is None:
-            raise EpsilonExhausted(f"no line fits wire {b} of the {d.n}-wire diagram")
+            raise EpsilonExhausted(f"no line fits wire {b} among {len(line_of)} lines")
         line_of[b] = len(lines) - 1
     return lines, line_of
 
 
-def _insert(d: WiringDiagram, b: int, lines: list[Line],
+def _insert(local: dict[int, tuple[int, ...]], b: int, lines: list[Line],
             line_of: dict[int, int]) -> list[Line] | None:
-    """Lines realizing ``d``: ``lines``, mirrored or not, then d*, the line
-    of wire b; None if no placement fits.
+    """``lines``, mirrored or not, then d*, the line of wire b, crossing as
+    ``local`` does on b and the wires of ``line_of``; None if none fits.
 
     Sorted by slope, the lines carry their wires in the cyclic order of the
-    wires' ends (Goodman & Pollack 1984): 1..n without b, one way round or
+    wires' ends (Goodman & Pollack 1984): ascending labels, one way round or
     the other, else WrongLabels.  After a mirror, if needed, it is the
     ascending way, and d*'s slope is the simplest rational in the gap
-    between the lines of b's cyclic neighbours b - 1 and b + 1; when that
+    between the lines of b's cyclic neighbours in label order; when that
     gap runs through the vertical, the one past the steepest line.
     """
-    n = d.n
     wires = sorted(line_of, key=lambda w: lines[line_of[w]].slope)
     start = wires.index(min(wires))
     wires = wires[start:] + wires[:start]
-    want = [w for w in range(1, n + 1) if w != b]
+    want = sorted(line_of)
     if wires == want[:1] + want[:0:-1]:
         lines = _mirror(lines)
     elif wires != want:
         raise WrongLabels(f"the lines carry wires {wires} in slope order, not {want} cyclically")
-    lo, hi = (lines[line_of[(w - 1) % n + 1]].slope for w in (b - 1, b + 1))
+    k = bisect_left(want, b)
+    lo, hi = (lines[line_of[w]].slope for w in (want[k - 1], want[k % len(want)]))
     sigma = _simplest(lo, hi) if lo < hi else _simplest(lo, None)
-    return _place(d.local_sequences(), b, lines, line_of, sigma)
+    keep = {*line_of, b}
+    seq = {w: tuple(u for u in local[w] if u in keep) for w in keep}
+    return _place(seq, b, lines, line_of, sigma)
 
 
 def _simplest(lo: Fraction | None, hi: Fraction | None) -> Fraction:

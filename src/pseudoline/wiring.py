@@ -100,7 +100,7 @@ def induced_subarrangement(d: WiringDiagram, keep) -> InducedResult:
     The child swap sequence is the subsequence of crossings between kept
     wires, in order, each at the track of its upper wire among the kept
     wires.  That track changes only when two kept wires cross, so it is
-    swapped there: O(n^2) per call.
+    swapped there: O(n^2) per call.  Each kept pair crosses once: no check.
     """
     keep = set(keep)
     if not keep:
@@ -116,7 +116,7 @@ def induced_subarrangement(d: WiringDiagram, keep) -> InducedResult:
             sub_swaps.append(track[u])
             parent_step.append(step)
             track[u], track[v] = track[v], track[u]
-    return InducedResult(validate_wiring(len(keep), sub_swaps), tuple(parent_step))
+    return InducedResult(WiringDiagram(len(keep), tuple(sub_swaps)), tuple(parent_step))
 
 
 def _clip(text: str, limit: int = 40) -> str:

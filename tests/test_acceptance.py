@@ -24,7 +24,7 @@ from pseudoline.necklace import (
     enumerate_selfdual,
     q_formula,
 )
-from pseudoline.stretch import BASE_N, realize_im, select_insertion_frame
+from pseudoline.stretch import realize_im, select_insertion_frame
 from pseudoline.suites import ALL_CHECKS, run_checks
 from pseudoline.sweep import census_sides
 from pseudoline.wiring import WiringDiagram, induced_subarrangement
@@ -266,13 +266,11 @@ def test_criterion_09_realizer_roundtrip(necklace_diagrams):
     targets = []
     for m, beads, _, d in necklace_diagrams:
         targets.append(d)
-        # the Im diagrams the recursion itself will visit
-        cur = d
-        while cur.n > BASE_N:
-            b = select_insertion_frame(CellComplex(cur))
-            kept = [w for w in range(1, cur.n + 1) if w != b]
-            cur = induced_subarrangement(cur, kept).diagram
-            targets.append(cur)
+        # the Im diagrams of the wires left at each level of the realizer
+        kept = list(range(1, d.n + 1))
+        for b in select_insertion_frame(CellComplex(d)):
+            kept.remove(b)
+            targets.append(induced_subarrangement(d, kept).diagram)
     bad = None
     for d in targets:
         arr = realize_im(d)

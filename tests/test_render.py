@@ -1,14 +1,25 @@
+from bisect import bisect_left
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
 from pseudoline.enumeration import raw_words
 from pseudoline.errors import DuplicateSlope, InputError, TooFewLines
 from pseudoline.lines import Line, LineArrangement
-from pseudoline.render import _polyline_y, _wire_polylines, render_diagram, render_lines
+from pseudoline.render import _wire_polylines, render_diagram, render_lines
 from pseudoline.wiring import WiringDiagram, validate_wiring
 
 HALF = Fraction(1, 2)
+
+
+def polyline_y(poly, x):
+    """Height of an x-monotone polyline at ``x`` inside its span."""
+    i = bisect_left(poly, x, key=itemgetter(0))  # the first breakpoint at or right of x
+    (x1, y1), (x2, y2) = poly[i - 1], poly[i]
+    if x2 == x or y1 == y2:
+        return y2
+    return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -25,8 +36,20 @@ def test_wire_polylines_encode_the_diagram(n):
         for x, t in zip(xs, (None, *word)):
             if t is not None:
                 perm[t - 1], perm[t] = perm[t], perm[t - 1]
-            ys = [_polyline_y(polylines[w - 1], x) for w in perm]
+            ys = [polyline_y(polylines[w - 1], x) for w in perm]
             assert ys == tracks, (word, x)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_crossings_sit_half_a_track_up(n):
+    """The face polygons put the crossing at step s at (s, 1/2 - swaps[s])."""
+    steps = n * (n - 1) // 2
+    for word in raw_words(n):
+        d = WiringDiagram(n, word)
+        polylines = _wire_polylines(d, -1, steps + 1)
+        for s, ((u, v), t) in enumerate(zip(d.crossing_pairs(), word)):
+            for w in (u, v):
+                assert polyline_y(polylines[w - 1], Fraction(s)) == HALF - t
 
 
 def test_wire_polylines_are_exact():
@@ -38,10 +61,10 @@ def test_wire_polylines_are_exact():
 def test_wire_y_monotone_pieces():
     polylines = _wire_polylines(validate_wiring(3, [1, 2, 1]), -5, 10)
     # wire 1 starts at the top (y=0) and ends at the bottom (y=-2)
-    assert _polyline_y(polylines[0], Fraction(-5)) == 0
-    assert _polyline_y(polylines[0], Fraction(10)) == -2
+    assert polyline_y(polylines[0], Fraction(-5)) == 0
+    assert polyline_y(polylines[0], Fraction(10)) == -2
     # it crosses wire 2 at x = 0, halfway down its first diagonal
-    assert _polyline_y(polylines[0], Fraction(0)) == -HALF
+    assert polyline_y(polylines[0], Fraction(0)) == -HALF
 
 
 def test_render_diagram_structure():

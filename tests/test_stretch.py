@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import sys
@@ -10,6 +11,7 @@ import place_oracle
 from pseudoline import stretch
 from pseudoline.analysis import is_in_Im
 from pseudoline.cells import CellComplex
+from pseudoline.cli import main
 from pseudoline.enumeration import enumerate_simple, raw_words
 from pseudoline.errors import NotInIm, WrongLabels
 from pseudoline.isomorphism import canonical_form, isomorphic
@@ -21,10 +23,12 @@ from pseudoline.stretch import (
     realize_im,
     select_insertion_frame,
 )
-from pseudoline.wiring import WiringDiagram, induced_subarrangement, validate_wiring
+from pseudoline.wiring import (WiringDiagram, format_diagram, induced_subarrangement,
+                               validate_wiring)
 
 PENTAGON_5 = validate_wiring(5, [1, 2, 1, 3, 4, 3, 2, 1, 3, 2])
 NECKLACE_8 = build_arrangement(4, enumerate_selfdual(4)[1])[1]
+LOCAL_8 = NECKLACE_8.local_sequences()
 
 
 def necklace(n):
@@ -84,15 +88,18 @@ def test_crossing_sequence_orientation():
 
 
 def test_frame_invariants_n7():
-    # delete the insertion wire of an 8-wire necklace diagram to get a
-    # 7-wire Im instance; its own insertion wire again leaves Im behind
+    # delete the first wire of an 8-wire necklace diagram's order to get a
+    # 7-wire Im instance; read off its own complex, its order is the rest of
+    # the 8-wire one, and its first wire again leaves Im behind
     _, d = build_arrangement(4, enumerate_selfdual(4)[0])
-    b8 = select_insertion_frame(CellComplex(d))
-    assert b8 == first_middle_wire(d)
-    ind = induced_subarrangement(d, [w for w in range(1, 9) if w != b8])
-    assert ind.diagram.n == 7 and is_in_Im(ind.diagram).member
-    d7 = ind.diagram
-    b = select_insertion_frame(CellComplex(d7))
+    order = select_insertion_frame(CellComplex(d))
+    assert len(order) == 3 and order[0] == first_middle_wire(d)
+    kept = [w for w in range(1, 9) if w != order[0]]
+    d7 = induced_subarrangement(d, kept).diagram
+    assert d7.n == 7 and is_in_Im(d7).member
+    order7 = select_insertion_frame(CellComplex(d7))
+    assert [kept[v - 1] for v in order7] == order[1:]
+    b = order7[0]
     assert 1 <= b <= 7 and b == first_middle_wire(d7)
     six = induced_subarrangement(d7, [w for w in range(1, 8) if w != b]).diagram
     assert six.n == 6 and is_in_Im(six).member
@@ -111,27 +118,63 @@ def first_middle_wire(d):
     return cx.edge_wire(cycle[(i + 1) % m])
 
 
-def test_insertion_wire(monkeypatch):
-    # every 6-wire Im class, and every level of a 16-wire realization
-    levels = []
-    select = stretch.select_insertion_frame
+def im_classes(n):
+    """The commutation classes on n wires in Im, as diagrams."""
+    return [d for d in map(partial(WiringDiagram, n), raw_words(n, classes=True))
+            if is_in_Im(d).member]
 
-    def record(cx):
-        b = select(cx)
-        levels.append((cx.diagram, b))
-        return b
 
-    monkeypatch.setattr(stretch, "select_insertion_frame", record)
-    realize_im(necklace(16))
-    assert [d.n for d, _ in levels] == list(range(16, BASE_N, -1))
-    six = [d for d in map(partial(WiringDiagram, 6), raw_words(6, classes=True))
-           if is_in_Im(d).member]
-    assert len(six) == 52
-    levels += [(d, select(CellComplex(d))) for d in six]
-    for d, b in levels:
-        assert b == first_middle_wire(d)
-        kept = [w for w in range(1, d.n + 1) if w != b]
-        assert is_in_Im(induced_subarrangement(d, kept).diagram).member
+def cycle_wires(d):
+    """The wires of the (>=5)-gon's boundary cycle, in boundary_cycle order."""
+    cx = CellComplex(d)
+    return [cx.edge_wire(e) for e in cx.boundary_cycle(is_in_Im(d, cx).face)]
+
+
+def test_insertion_wire():
+    # every level of every 6- and 7-wire Im class and of a 16-wire necklace:
+    # the diagram of the wires still present is in Im, its gon's cycle is
+    # the input's without the deleted wires, from the same start, and the
+    # order read off the input's complex deletes its first middle wire
+    classes = {n: im_classes(n) for n in (6, 7)}
+    assert {n: len(ds) for n, ds in classes.items()} == {6: 52, 7: 114}
+    for d in [*classes[6], *classes[7], necklace(16)]:
+        order = select_insertion_frame(CellComplex(d))
+        assert len(order) == d.n - BASE_N
+        kept, cycle = list(range(1, d.n + 1)), cycle_wires(d)
+        for b in [*order, None]:
+            level = induced_subarrangement(d, kept).diagram
+            assert is_in_Im(level).member
+            assert [kept[v - 1] for v in cycle_wires(level)] == cycle
+            if b is not None:
+                assert first_middle_wire(level) == kept.index(b) + 1
+                kept.remove(b)
+                cycle.remove(b)
+
+
+def test_realize_builds_no_complex_past_the_base(monkeypatch):
+    # the deletion order and the local sequences come from the input's one
+    # complex; the base case and the final check build only small ones
+    d, sizes = necklace(16), []
+    init = CellComplex.__init__
+
+    def counted(self, diagram):
+        sizes.append(diagram.n)
+        init(self, diagram)
+
+    monkeypatch.setattr(CellComplex, "__init__", counted)
+    stretch._realize(CellComplex(d))
+    assert sizes[0] == 16 and max(sizes[1:]) <= BASE_N
+    sizes.clear()
+    realize_im(d)
+    assert sorted(sizes)[-2:] == [BASE_N, 16]
+
+
+def test_base_case_outside_the_table_is_a_construction_bug(monkeypatch):
+    # no level re-checks Im, so a remainder missing from the table is
+    # WrongLabels, not a KeyError
+    monkeypatch.setattr(stretch, "BASE_LINES", {})
+    with pytest.raises(WrongLabels):
+        realize_im(PENTAGON_5)
 
 
 def test_recursive_realization_n8():
@@ -154,8 +197,7 @@ def test_base_table_realizes_each_5_wire_im_class():
 def test_base_case_all_im_classes(n):
     # every commutation class: n = 5 through the table, labeled by an
     # isomorphism, n = 6 through one insertion
-    classes = [d for d in map(partial(WiringDiagram, n), raw_words(n, classes=True))
-               if is_in_Im(d).member]
+    classes = im_classes(n)
     assert len(classes) == {5: 22, 6: 52}[n]
     for d in classes:
         roundtrip(d)
@@ -163,7 +205,7 @@ def test_base_case_all_im_classes(n):
 
 def insertion_inputs(d):
     """The wire b that ``d`` inserts last, and the labeled lines of ``d`` without it."""
-    b = select_insertion_frame(CellComplex(d))
+    b = select_insertion_frame(CellComplex(d))[0]
     kept = [w for w in range(1, d.n + 1) if w != b]
     lines, line_of = stretch._realize(CellComplex(induced_subarrangement(d, kept).diagram))
     return b, lines, {kept[v - 1]: i for v, i in line_of.items()}
@@ -171,7 +213,7 @@ def insertion_inputs(d):
 
 def test_insert_with_correct_labels():
     b, lines, line_of = insertion_inputs(NECKLACE_8)
-    got = _insert(NECKLACE_8, b, lines, line_of)
+    got = _insert(LOCAL_8, b, lines, line_of)
     assert got is not None and len(got) == 8
     assert isomorphic(lines_to_diagram(LineArrangement(tuple(got))).diagram, NECKLACE_8)
 
@@ -192,7 +234,7 @@ def test_insert_does_not_depend_on_the_child_marking():
     for g in [(s + t) / 2 for s, t in zip(slopes, slopes[1:])] + [slopes[-1] + 1]:
         turned = shear_rotate(lines, g)
         for moved in (turned, stretch._mirror(turned)):
-            got = _insert(NECKLACE_8, b, moved, line_of)
+            got = _insert(LOCAL_8, b, moved, line_of)
             assert got is not None
             assert isomorphic(lines_to_diagram(LineArrangement(tuple(got))).diagram, NECKLACE_8)
             branches.add((got[:-1] != moved, got[-1].slope > max(l.slope for l in got[:-1])))
@@ -207,7 +249,7 @@ def test_insert_rejects_swapped_labels():
         swapped = dict(line_of)
         swapped[u], swapped[v] = line_of[v], line_of[u]
         with pytest.raises(WrongLabels):
-            _insert(NECKLACE_8, b, lines, swapped)
+            _insert(LOCAL_8, b, lines, swapped)
 
 
 @pytest.mark.parametrize("n", [16, 24, 48])
@@ -245,6 +287,19 @@ def test_realize_stack_does_not_grow_with_n():
     finally:
         sys.setrecursionlimit(limit)
     assert arr.n == 64
+
+
+@pytest.mark.parametrize("n, digest", [
+    (24, "19cee3cde8d8613551bdacd2fa3bba618ea821b5674f76176e4c246bf8b2b6c6"),
+    (64, "e135e32cfdf08a1a99bac5a6f7f752f5d7076f3bb48d8a48099dc18b5a16fb92"),
+])
+def test_realize_output_is_pinned(n, digest, tmp_path, capsys):
+    # the printed lines, byte for byte: any change to the realizer that
+    # moves a coordinate shows here
+    path = tmp_path / "d.txt"
+    path.write_text(format_diagram(seeded_necklace(n)))
+    assert main(["realize", str(path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def twelve_wire_cuts(seed, count):
@@ -316,13 +371,13 @@ def test_place_matches_fraction_oracle(place_outcomes):
 
 def test_place_matches_fraction_oracle_on_swapped_labels(place_outcomes):
     b, lines, line_of = insertion_inputs(NECKLACE_8)
-    got = _insert(NECKLACE_8, b, lines, line_of)  # the lines as _place sees them, and sigma
+    got = _insert(LOCAL_8, b, lines, line_of)  # the lines as _place sees them, and sigma
     lines, sigma = got[:-1], got[-1].slope
     pairs = list(itertools.combinations(sorted(line_of), 2))
     for u, v in pairs:
         swapped = dict(line_of)
         swapped[u], swapped[v] = line_of[v], line_of[u]
         with pytest.raises(WrongLabels):
-            stretch._place(NECKLACE_8.local_sequences(), b, lines, swapped, sigma)
+            stretch._place(LOCAL_8, b, lines, swapped, sigma)
     # the child's levels n = 6 and 7 and b's insertion place their lines
     assert place_outcomes == [True] * 3 + [WrongLabels] * len(pairs)

@@ -146,9 +146,10 @@ def test_induced_triple_matches_crossing_order():
 @given(valid_diagrams, st.randoms(use_true_random=False))
 def test_induced_crossings_are_the_kept_crossings(d, rng):
     # the child crosses its wires as the parent crosses the kept wires, step
-    # for step, which fixes the child's word
+    # for step, which fixes the child's word; it is valid unchecked
     keep = rng.sample(range(1, d.n + 1), rng.randint(1, d.n))
     ind = induced_subarrangement(d, keep)
+    assert validate_wiring(ind.diagram.n, ind.diagram.swaps) == ind.diagram
     assert list(ind.parent_step) == [s for s, (u, v) in enumerate(d.crossing_pairs())
                                      if u in keep and v in keep]
     child, parent = kept_crossings(d, ind, keep)
