@@ -121,7 +121,7 @@ def cmd_necklace(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    # realize_im ends with an exact round-trip; a failed one raises, exit 1
+    # realize_im ends with an exact labelled check; a failed one raises, exit 1
     arr = realize_im(_read_diagram(args.file))
     print(_arrangement_json(arr))
     return 0

@@ -87,10 +87,10 @@ class NoConsecutiveTriple(PseudolineError):
 
 
 class EpsilonExhausted(PseudolineError):
-    """A construction found no room: the necklace tilt left no all-line
-    central face, or the realizer found no open intercept interval for a new
-    line at its slope; construction bug."""
+    """The necklace tilt left no all-line central face; construction bug."""
 
 
 class WrongLabels(PseudolineError):
-    """Lines do not cross in the order their wires do; construction bug."""
+    """The realizer's closing labelled check failed: the tangent model's
+    lines do not sweep into the input diagram, line i on wire i + 1, which
+    would be a counterexample to the tangent-model conjecture."""

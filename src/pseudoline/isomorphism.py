@@ -13,6 +13,11 @@ sequence; the mirror reads the left order bottom to top.  The canonical
 form is the least lex-normal word over the 4n markings, a complete
 invariant computed with O(n^3) integer work, and ``find_isomorphism`` pairs
 the wires of two best markings position by position.
+
+No package code calls ``find_isomorphism`` or builds a ``CellIso``: they
+stay as documented API because they are the explicit cell bijection of the
+definition of equivalence above, and ``perfbench/tracer.py`` wraps
+``find_isomorphism`` as a layer.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import groupby
 from math import lcm
 from typing import NamedTuple
 
@@ -66,26 +67,25 @@ def crossing_key(u: tuple[int, int, int], w: tuple[int, int, int]) -> tuple[int,
     return (p << 64) // q, p, q
 
 
-def monotone(row: list[tuple[int, int, int]]) -> int:
-    """1 or -1 if the x's of the crossings (key, p, q) in ``row`` strictly rise or fall, else 0."""
-    signs = {(k2 > k1) - (k2 < k1) or (s * q > p * r) - (s * q < p * r)
-             for (k1, p, q), (k2, s, r) in zip(row, row[1:])}
-    return 1 if signs <= {1} else -1 if signs == {-1} else 0
+_by_x = cmp_to_key(lambda e, f: e[3] * f[4] - f[3] * e[4])  # crossings (key, i, j, p, q)
 
 
 def _order_ties(events: list[tuple]) -> None:
     """Sort each run of crossings (key, i, j, p, q) of one key by exact x, equal x
-    kept in (i, j) order; ConcurrentLines if a line crosses two others at one x."""
+    kept in (i, j) order; ConcurrentLines if a line crosses two others at one x.
+    A line has one point at each x, so a line met twice in a group of equal x
+    meets the others of its crossings there."""
     ends = [k for k in range(1, len(events)) if events[k][0] != events[k - 1][0]] + [len(events)]
     for start, end in zip([0] + ends, ends):
         if end - start > 1:
-            run = events[start:end] = sorted(events[start:end], key=cmp_to_key(
-                lambda e, f: e[3] * f[4] - f[3] * e[4]))
-            for _, i, j, p, q in run:
-                at = {u for f in run if (f[1] in (i, j) or f[2] in (i, j))
-                      and p * f[4] == f[3] * q for u in f[1:3]}
-                if len(at) > 2:
-                    raise ConcurrentLines(f"lines {tuple(sorted(at))} meet at one point")
+            events[start:end] = run = sorted(events[start:end], key=_by_x)
+            for _, group in groupby(run, key=_by_x):
+                group, seen = list(group), set()
+                for u in (u for e in group for u in e[1:3]):
+                    if u in seen:
+                        at = {v for e in group if u in e[1:3] for v in e[1:3]}
+                        raise ConcurrentLines(f"lines {tuple(sorted(at))} meet at one point")
+                    seen.add(u)
 
 
 def lines_to_diagram(arr: LineArrangement) -> LinesResult:

@@ -266,7 +266,7 @@ def test_criterion_09_realizer_roundtrip(necklace_diagrams):
     targets = []
     for m, beads, _, d in necklace_diagrams:
         targets.append(d)
-        # the Im diagrams of the wires left at each level of the realizer
+        # the Im diagrams of the wires left at each step of the paper's deletion order
         kept = list(range(1, d.n + 1))
         for b in select_insertion_frame(CellComplex(d)):
             kept.remove(b)
@@ -282,7 +282,7 @@ def test_criterion_09_realizer_roundtrip(necklace_diagrams):
         9,
         bad is None and elapsed < 300,
         f"exact straight-line realization round-trips on {len(targets)} Im "
-        f"diagrams (necklaces 2m<=12 + recursion-internal, {elapsed:.1f}s)",
+        f"diagrams (necklaces 2m<=12 + their deletion-order remainders, {elapsed:.1f}s)",
     )
 
 

@@ -10,13 +10,14 @@ from pathlib import Path
 import pytest
 
 import pseudoline
+from pseudoline import stretch
 from pseudoline.cli import _arrangement_json, main
 from pseudoline.enumeration import MAX_N
 from pseudoline.lines import Line, LineArrangement
 from pseudoline.necklace import build_arrangement, enumerate_selfdual
 from pseudoline.stretch import realize_im
 from pseudoline.suites import ALL_CHECKS
-from pseudoline.wiring import format_diagram
+from pseudoline.wiring import format_diagram, validate_wiring
 
 
 def write_diagram(tmp_path, text):
@@ -320,8 +321,12 @@ def test_realize_rejects_non_im(tmp_path, capsys):
 
 
 def test_realize_exits_1_when_the_round_trip_fails(tmp_path, monkeypatch, capsys):
-    # realize_im's closing exact check is the only one: make it fail
-    monkeypatch.setattr("pseudoline.stretch.isomorphic", lambda d1, d2: False)
+    # realize_im's closing labelled check is the only one: make it fail by
+    # sweeping the lines into another diagram
+    other = validate_wiring(5, [1, 2, 3, 4, 1, 2, 3, 1, 2, 1])
+    sweep = stretch.lines_to_diagram
+    monkeypatch.setattr(stretch, "lines_to_diagram",
+                        lambda arr: sweep(arr)._replace(diagram=other))
     path = write_diagram(tmp_path, "5\n1 2 1 3 4 3 2 1 3 2\n")
     assert main(["realize", path]) == 1
     out, err = capsys.readouterr()

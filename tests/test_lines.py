@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -138,3 +139,14 @@ def test_realized_n32_matches_oracle():
     half = tuple(rng.randint(0, 1) for _ in range(16))
     d = build_arrangement(16, half + tuple(1 - b for b in half))[1]
     assert isinstance(assert_matches_oracle(realize_im(d).lines), tuple)
+
+
+def test_a_run_of_one_key_sweeps_in_n_log_n():
+    # slope i and intercept i^2 * 2^-80: lines i and j cross at
+    # x = -(i + j) * 2^-80, so all 8,128 crossings share the key
+    # floor(x * 2^64) = -1, and each x holds up to 64 crossings at distinct y
+    lines = [Line(Fraction(i), Fraction(i * i, 2**80)) for i in range(128)]
+    t0 = time.perf_counter()
+    res = lines_to_diagram(LineArrangement(tuple(lines)))
+    assert time.perf_counter() - t0 < 1
+    assert outcome(lines_oracle.lines_to_diagram, lines) == (res.diagram, res.wire_of_line)

@@ -2,33 +2,24 @@ import hashlib
 import itertools
 import random
 import sys
-from fractions import Fraction
 from functools import partial
 
 import pytest
 
-import place_oracle
 from pseudoline import stretch
 from pseudoline.analysis import is_in_Im
 from pseudoline.cells import CellComplex
 from pseudoline.cli import main
-from pseudoline.enumeration import enumerate_simple, raw_words
+from pseudoline.enumeration import raw_words
 from pseudoline.errors import NotInIm, WrongLabels
-from pseudoline.isomorphism import canonical_form, isomorphic
-from pseudoline.lines import Line, LineArrangement, lines_to_diagram
+from pseudoline.lines import lines_to_diagram
 from pseudoline.necklace import build_arrangement, enumerate_selfdual
-from pseudoline.stretch import (
-    BASE_N,
-    _insert,
-    realize_im,
-    select_insertion_frame,
-)
+from pseudoline.stretch import BASE_N, realize_im, select_insertion_frame
 from pseudoline.wiring import (WiringDiagram, format_diagram, induced_subarrangement,
                                validate_wiring)
 
 PENTAGON_5 = validate_wiring(5, [1, 2, 1, 3, 4, 3, 2, 1, 3, 2])
 NECKLACE_8 = build_arrangement(4, enumerate_selfdual(4)[1])[1]
-LOCAL_8 = NECKLACE_8.local_sequences()
 
 
 def necklace(n):
@@ -39,9 +30,19 @@ def necklace(n):
 
 
 def roundtrip(d):
+    """``realize_im``'s lines, checked labelled: line W - 1 sweeps into wire W
+    and the lines cross in the local sequences of ``d``."""
     arr = realize_im(d)
-    assert isomorphic(lines_to_diagram(arr).diagram, d)
+    res = lines_to_diagram(arr)
+    assert res.wire_of_line == {i: i + 1 for i in range(d.n)}
+    assert res.diagram.local_sequences() == d.local_sequences()
     return arr
+
+
+def bead_word(arr):
+    """The word the model was built from: s_W = 1 when line W - 1 passes
+    below the unit circle, that is when its intercept is negative."""
+    return "".join("1" if ln.intercept < 0 else "0" for ln in arr.lines)
 
 
 def test_not_in_im_rejected():
@@ -49,16 +50,6 @@ def test_not_in_im_rejected():
         realize_im(validate_wiring(4, [2, 1, 3, 2, 1, 3]))
     with pytest.raises(NotInIm):
         select_insertion_frame(CellComplex(validate_wiring(4, [2, 1, 3, 2, 1, 3])))
-
-
-def test_non_im_base_case_is_rejected_before_sampling(monkeypatch):
-    monkeypatch.setattr(stretch, "_realize_base", lambda d: pytest.fail("looked up"))
-    with pytest.raises(NotInIm):
-        realize_im(validate_wiring(4, [2, 1, 3, 2, 1, 3]))
-
-
-def test_base_case_pentagon():
-    roundtrip(PENTAGON_5)
 
 
 def crossing_order(lines, i):
@@ -70,21 +61,13 @@ def crossing_order(lines, i):
 
 
 def test_crossing_sequence_orientation():
-    # each wire's line crosses the others in its wire's local sequence, read
-    # forwards or backwards, and the lines of the cyclic slope order run
-    # through the wires one way round or the other
+    # in Fractions, apart from the sweep: line W - 1 crosses the others in
+    # wire W's local sequence, read forwards
     for d in (PENTAGON_5, NECKLACE_8, necklace(16)):
-        lines, line_of = stretch._realize(CellComplex(d))
-        wire_of = {i: w for w, i in line_of.items()}
-        assert sorted(wire_of) == list(range(d.n))
+        lines = realize_im(d).lines
         local = d.local_sequences()
-        for w, i in line_of.items():
-            got = tuple(wire_of[j] for j in crossing_order(lines, i))
-            assert got in (local[w], local[w][::-1])
-        by_slope = sorted(line_of, key=lambda w: lines[line_of[w]].slope)
-        start = by_slope.index(1)
-        cyc = by_slope[start:] + by_slope[:start]
-        assert cyc in (list(range(1, d.n + 1)), [1] + list(range(d.n, 1, -1)))
+        for w in range(1, d.n + 1):
+            assert tuple(j + 1 for j in crossing_order(lines, w - 1)) == local[w]
 
 
 def test_frame_invariants_n7():
@@ -131,10 +114,11 @@ def cycle_wires(d):
 
 
 def test_insertion_wire():
-    # every level of every 6- and 7-wire Im class and of a 16-wire necklace:
-    # the diagram of the wires still present is in Im, its gon's cycle is
-    # the input's without the deleted wires, from the same start, and the
-    # order read off the input's complex deletes its first middle wire
+    # the paper's deletion lemma, at every level of every 6- and 7-wire Im
+    # class and of a 16-wire necklace: the diagram of the wires still present
+    # is in Im, its gon's cycle is the input's without the deleted wires,
+    # from the same start, and the order read off the input's complex
+    # deletes its first middle wire
     classes = {n: im_classes(n) for n in (6, 7)}
     assert {n: len(ds) for n, ds in classes.items()} == {6: 52, 7: 114}
     for d in [*classes[6], *classes[7], necklace(16)]:
@@ -152,8 +136,8 @@ def test_insertion_wire():
 
 
 def test_realize_builds_no_complex_past_the_base(monkeypatch):
-    # the deletion order and the local sequences come from the input's one
-    # complex; the base case and the final check build only small ones
+    # the bead word is read off the input's one complex; the closing check
+    # sweeps lines and builds none
     d, sizes = necklace(16), []
     init = CellComplex.__init__
 
@@ -162,94 +146,59 @@ def test_realize_builds_no_complex_past_the_base(monkeypatch):
         init(self, diagram)
 
     monkeypatch.setattr(CellComplex, "__init__", counted)
-    stretch._realize(CellComplex(d))
-    assert sizes[0] == 16 and max(sizes[1:]) <= BASE_N
-    sizes.clear()
     realize_im(d)
-    assert sorted(sizes)[-2:] == [BASE_N, 16]
+    assert sizes == [16]
 
 
-def test_base_case_outside_the_table_is_a_construction_bug(monkeypatch):
-    # no level re-checks Im, so a remainder missing from the table is
-    # WrongLabels, not a KeyError
-    monkeypatch.setattr(stretch, "BASE_LINES", {})
-    with pytest.raises(WrongLabels):
-        realize_im(PENTAGON_5)
+def test_failed_labelled_check_names_the_bead_word(monkeypatch):
+    # a model whose diagram is not the input is a counterexample to the
+    # conjecture: WrongLabels, naming the word
+    d = necklace(8)
+    assert d.swaps != NECKLACE_8.swaps
+    s = bead_word(realize_im(d))
+    monkeypatch.setattr(stretch, "lines_to_diagram",
+                        lambda arr: lines_to_diagram(arr)._replace(diagram=NECKLACE_8))
+    with pytest.raises(WrongLabels, match=f"bead word {s} "):
+        realize_im(d)
 
 
 def test_recursive_realization_n8():
     _, d = build_arrangement(4, enumerate_selfdual(4)[1])
-    assert d.n > BASE_N
     arr = roundtrip(d)
     # exact rational output, one line per wire
     assert arr.n == 8
 
 
-def test_base_table_realizes_each_5_wire_im_class():
-    classes = {canonical_form(d).word for d in enumerate_simple(5, filter="im", dedup=True)}
-    assert set(stretch.BASE_LINES) == classes
-    for word, lines in stretch.BASE_LINES.items():
-        arr = LineArrangement(tuple(Line(Fraction(m), Fraction(c)) for m, c in lines))
-        assert canonical_form(lines_to_diagram(arr).diagram).word == word
-
-
-@pytest.mark.parametrize("n", [5, 6])
-def test_base_case_all_im_classes(n):
-    # every commutation class: n = 5 through the table, labeled by an
-    # isomorphism, n = 6 through one insertion
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_realize_im_classes(n):
+    # every commutation class round-trips labelled, and the bead words are
+    # the 2^n - 2n non-monotone words, each once
     classes = im_classes(n)
-    assert len(classes) == {5: 22, 6: 52}[n]
-    for d in classes:
+    assert len(classes) == {5: 22, 6: 52, 7: 114}[n] == 2 ** n - 2 * n
+    words = {bead_word(roundtrip(d)) for d in classes}
+    monotone = {"0" * k + "1" * (n - k) for k in range(n + 1)}
+    monotone |= {w.translate(str.maketrans("01", "10")) for w in monotone}
+    assert words == {"".join(w) for w in itertools.product("01", repeat=n)} - monotone
+
+
+def test_realize_selfdual_necklaces():
+    # the 34 self-dual necklaces with m = 3..8; for m <= 5 the bead word pairs
+    # wires 2j + 1 and 2j + 2 as "10" for bead j = 0 and "01" for bead j = 1
+    count = 0
+    for m in range(3, 9):
+        for beads in enumerate_selfdual(m):
+            arr = roundtrip(build_arrangement(m, beads)[1])
+            count += 1
+            if m <= 5:
+                assert bead_word(arr) == "".join("01" if b else "10" for b in beads[:m])
+    assert count == 34
+
+
+def test_realize_twelve_wire_cuts():
+    cuts = twelve_wire_cuts(12, 30) + twelve_wire_cuts(1414, 120)
+    assert len(cuts) == 150
+    for d in cuts:
         roundtrip(d)
-
-
-def insertion_inputs(d):
-    """The wire b that ``d`` inserts last, and the labeled lines of ``d`` without it."""
-    b = select_insertion_frame(CellComplex(d))[0]
-    kept = [w for w in range(1, d.n + 1) if w != b]
-    lines, line_of = stretch._realize(CellComplex(induced_subarrangement(d, kept).diagram))
-    return b, lines, {kept[v - 1]: i for v, i in line_of.items()}
-
-
-def test_insert_with_correct_labels():
-    b, lines, line_of = insertion_inputs(NECKLACE_8)
-    got = _insert(LOCAL_8, b, lines, line_of)
-    assert got is not None and len(got) == 8
-    assert isomorphic(lines_to_diagram(LineArrangement(tuple(got))).diagram, NECKLACE_8)
-
-
-def shear_rotate(lines, g):
-    """The lines after (x, y) -> (x, y - g*x) and a quarter turn, which sends
-    slope g to the vertical."""
-    return [Line(-1 / (l.slope - g), l.intercept / (l.slope - g)) for l in lines]
-
-
-def test_insert_does_not_depend_on_the_child_marking():
-    # An affine map keeps every row of the child's lines up to reversal; one
-    # sending a slope in each of the n - 1 gaps to the vertical starts the
-    # cyclic slope order at each wire in turn, and a mirror reverses it.
-    b, lines, line_of = insertion_inputs(NECKLACE_8)
-    slopes = sorted(l.slope for l in lines)
-    branches = set()  # (mirrored by _insert, d* in the gap through the vertical)
-    for g in [(s + t) / 2 for s, t in zip(slopes, slopes[1:])] + [slopes[-1] + 1]:
-        turned = shear_rotate(lines, g)
-        for moved in (turned, stretch._mirror(turned)):
-            got = _insert(LOCAL_8, b, moved, line_of)
-            assert got is not None
-            assert isomorphic(lines_to_diagram(LineArrangement(tuple(got))).diagram, NECKLACE_8)
-            branches.add((got[:-1] != moved, got[-1].slope > max(l.slope for l in got[:-1])))
-    assert {m for m, _ in branches} == {w for _, w in branches} == {False, True}
-
-
-def test_insert_rejects_swapped_labels():
-    # swapping two lines breaks the cyclic order of the wires by slope, so
-    # every swap stops at _insert's wire-order check, before _place
-    b, lines, line_of = insertion_inputs(NECKLACE_8)
-    for u, v in itertools.combinations(sorted(line_of), 2):
-        swapped = dict(line_of)
-        swapped[u], swapped[v] = line_of[v], line_of[u]
-        with pytest.raises(WrongLabels):
-            _insert(LOCAL_8, b, lines, swapped)
 
 
 @pytest.mark.parametrize("n", [16, 24, 48])
@@ -266,16 +215,16 @@ def seeded_necklace(n):
 
 
 def test_realize_n64_coordinates_stay_short():
-    # each slope and intercept is the simplest rational of its open interval,
-    # so no coordinate inherits the bits of the interval's ends
+    # p and q are at most n, so no numerator or denominator needs more than
+    # 2 * ceil(log2(n + 1)) + 1 bits
     arr = roundtrip(seeded_necklace(64))
     assert max(max(f.numerator.bit_length(), f.denominator.bit_length())
-               for ln in arr.lines for f in ln) <= 100
+               for ln in arr.lines for f in ln) <= 15
 
 
 def test_realize_stack_does_not_grow_with_n():
-    # the 59 levels down to BASE_N run in a loop; 60 frames past the
-    # caller's depth could not hold a recursion of one frame per level
+    # nothing recurses over the wires; 60 frames past the caller's depth
+    # hold the whole realization at n = 64
     d = seeded_necklace(64)
     depth, frame = 0, sys._getframe()
     while frame is not None:
@@ -290,8 +239,10 @@ def test_realize_stack_does_not_grow_with_n():
 
 
 @pytest.mark.parametrize("n, digest", [
-    (24, "19cee3cde8d8613551bdacd2fa3bba618ea821b5674f76176e4c246bf8b2b6c6"),
-    (64, "e135e32cfdf08a1a99bac5a6f7f752f5d7076f3bb48d8a48099dc18b5a16fb92"),
+    pytest.param(24, "1cd747ca1fc79bcc1b6d226b1cf80354de75b46468fd884aa70d4a27b8d05920",
+                 id="24"),
+    pytest.param(64, "7dd64ee27b88d715dc42cbea25c6dbdf7c8e7dbe127a0b4c69f31e94e5ed6aa0",
+                 id="64"),
 ])
 def test_realize_output_is_pinned(n, digest, tmp_path, capsys):
     # the printed lines, byte for byte: any change to the realizer that
@@ -316,68 +267,3 @@ def twelve_wire_cuts(seed, count):
         if is_in_Im(sub.diagram).member:
             out.setdefault(sub.diagram.swaps, sub.diagram)
     return list(out.values())
-
-
-@pytest.fixture
-def place_outcomes(monkeypatch):
-    """Run the Fraction oracle next to every ``_place`` call.  Both must raise
-    the same exception, or else: the lines, sorted by slope, carry their
-    wires in ascending cyclic order; None comes exactly when no intercept
-    fits for sigma; and d* adds one line of slope sigma whose intercept is
-    strictly inside the oracle's intercept interval, and which keeps the
-    cyclic order with b among the wires.  Returns the outcomes."""
-    place = stretch._place
-    outcomes = []
-
-    def outcome(f, *args):
-        try:
-            return f(*args), None
-        except Exception as exc:  # compared with the oracle's, then re-raised
-            return None, exc
-
-    def both(seq, b, lines, line_of, sigma):
-        got, err = outcome(place, seq, b, lines, line_of, sigma)
-        slot, want_err = outcome(place_oracle.slots, seq, b, lines, line_of)
-        assert (type(err), getattr(err, "args", None)) == (type(want_err),
-                                                          getattr(want_err, "args", None))
-        if err:
-            outcomes.append(type(err))
-            raise err
-        assert place_oracle.cyclic_ascending(lines, line_of)
-        ilo, ihi = place_oracle.intercept_interval(lines, line_of, slot, sigma)
-        assert (got is None) == (ilo is not None and ihi is not None and ilo >= ihi)
-        if got:
-            assert got[:-1] == lines and len(got) == len(lines) + 1
-            assert got[-1].slope == sigma
-            assert place_oracle.cyclic_ascending(got, {**line_of, b: len(lines)})
-            t = got[-1].intercept
-            assert (ilo is None or ilo < t) and (ihi is None or t < ihi)
-        outcomes.append(got is not None)
-        return got
-
-    monkeypatch.setattr(stretch, "_place", both)
-    return outcomes
-
-
-def test_place_matches_fraction_oracle(place_outcomes):
-    realize_im(NECKLACE_8)
-    for n in (16, 24):
-        realize_im(necklace(n))
-    for d in twelve_wire_cuts(12, 30):
-        realize_im(d)
-    # every level places its line on the one call it gets
-    assert place_outcomes == [True] * (3 + 11 + 19 + 30 * 7)
-
-
-def test_place_matches_fraction_oracle_on_swapped_labels(place_outcomes):
-    b, lines, line_of = insertion_inputs(NECKLACE_8)
-    got = _insert(LOCAL_8, b, lines, line_of)  # the lines as _place sees them, and sigma
-    lines, sigma = got[:-1], got[-1].slope
-    pairs = list(itertools.combinations(sorted(line_of), 2))
-    for u, v in pairs:
-        swapped = dict(line_of)
-        swapped[u], swapped[v] = line_of[v], line_of[u]
-        with pytest.raises(WrongLabels):
-            stretch._place(LOCAL_8, b, lines, swapped, sigma)
-    # the child's levels n = 6 and 7 and b's insertion place their lines
-    assert place_outcomes == [True] * 3 + [WrongLabels] * len(pairs)
