@@ -52,6 +52,10 @@ def test_not_in_im_rejected():
         select_insertion_frame(CellComplex(validate_wiring(4, [2, 1, 3, 2, 1, 3])))
 
 
+def test_base_case_pentagon():
+    roundtrip(PENTAGON_5)
+
+
 def crossing_order(lines, i):
     """The other lines, as indices, in the left-to-right order line i crosses them."""
     l = lines[i]
@@ -167,6 +171,15 @@ def test_recursive_realization_n8():
     arr = roundtrip(d)
     # exact rational output, one line per wire
     assert arr.n == 8
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_base_case_all_im_classes(n):
+    # every commutation class of five and six wires round-trips labelled
+    classes = im_classes(n)
+    assert len(classes) == {5: 22, 6: 52}[n]
+    for d in classes:
+        roundtrip(d)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
