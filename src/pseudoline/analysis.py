@@ -86,7 +86,7 @@ def critical_edges(cx: CellComplex, f: int) -> dict[int, bool]:
     """Per boundary edge of the bounded face ``f``: is its twin unbounded."""
     if not cx.face_bounded(f):
         raise UnboundedFace(f"face {f}")
-    return {e: not cx.face_bounded(cx.twin(e, f)) for e in cx.boundary_cycle(f)}
+    return {e: not cx.face_bounded(cx.twin(e, f)) for e in cx.face_edges(f)}
 
 
 def criticality_k(cx: CellComplex) -> CriticalityReport:
@@ -118,7 +118,9 @@ def critical_flags(cx: CellComplex, cycle: Sequence[int], p: int) -> list[bool]:
 
 
 def is_in_Im(d: WiringDiagram, cx: CellComplex | None = None) -> ImResult:
-    """Membership in the family where every wire carries an edge of the gon."""
+    """Membership in Im: one (>=5)-gon, with an edge on every wire.  A face
+    meets a wire in at most one edge (a wire crossing w between two would be
+    shut in by w and the face), so Im means the one (>=5)-gon has n sides."""
     cx = cx if cx is not None else CellComplex(d)
     try:
         p = find_unique_ge5(cx)
@@ -126,13 +128,10 @@ def is_in_Im(d: WiringDiagram, cx: CellComplex | None = None) -> ImResult:
         return ImResult(False, None)
     if p is None:
         return ImResult(False, None)
-    wires = cx.face_wires(p)
-    for w in range(1, d.n + 1):
-        if w not in wires:
-            return ImResult(False, w, p)
-    # membership forces the gon to be an n-gon: one edge per wire
-    assert cx.face_side_count(p) == d.n
-    return ImResult(True, None, p)
+    if cx.face_side_count(p) == d.n:
+        return ImResult(True, None, p)
+    wires = {cx.edge_wire(e) for e in cx.face_edges(p)}
+    return ImResult(False, min(w for w in range(1, d.n + 1) if w not in wires), p)
 
 
 def verify_counting_theorem(cx: CellComplex) -> TheoremReport:
@@ -157,9 +156,10 @@ def triangle_adjacency(cx: CellComplex) -> dict[int, list[int]]:
     """Per wire: the triangle faces with an edge on it."""
     out: dict[int, list[int]] = {w: [] for w in range(1, cx.n + 1)}
     for f in cx.bounded_faces():
-        if cx.face_side_count(f) == 3:
-            for w in sorted(cx.face_wires(f)):
-                out[w].append(f)
+        edges = cx.face_edges(f)
+        if len(edges) == 3:
+            for e in edges:
+                out[cx.edge_wire(e)].append(f)
     return out
 
 

@@ -100,9 +100,6 @@ class CellComplex:
     def face_side_count(self, f: int) -> int:
         return len(self._face_edges[f])
 
-    def face_wires(self, f: int) -> set[int]:
-        return {self.edge_wire(e) for e in self._face_edges[f]}
-
     def bounded_faces(self) -> list[int]:
         return [f for f in range(self.num_faces) if self.face_bounded(f)]
 

@@ -15,13 +15,14 @@ own canonical word: orderly generation (Read, "Every one a winner", 1978).
 Each word is decided on its own, so dedup keeps no memory across words and a
 walk below any prefix keeps exactly the words the full walk keeps there.  The
 filters are invariants of the arrangement: they keep or drop whole classes.
+Both read the word's side counts (``census_sides``): ``one-ge5`` keeps exactly
+one (>=5)-gon, ``im`` a lone n-gon, which is Im (``analysis.is_in_Im``).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from .analysis import is_in_Im
 from .errors import NTooLarge
 from .isomorphism import canonical_form
 from .sweep import census_sides
@@ -89,14 +90,13 @@ def is_normal(word: tuple[int, ...]) -> bool:
     return all(s < t + 2 for s, t in zip(word, word[1:]))
 
 
-def _has_one_ge5(n: int, word: tuple[int, ...]) -> bool:
-    sides = census_sides(n, word)
-    return sum(1 for s in sides if s >= 5) == 1
+def _ge5_sides(n: int, word: tuple[int, ...]) -> list[int]:
+    return [s for s in census_sides(n, word) if s >= 5]
 
 
 _FILTERS: dict[str, Callable[[int, tuple[int, ...]], bool]] = {
-    "one-ge5": _has_one_ge5,
-    "im": lambda n, w: is_in_Im(WiringDiagram(n, w)).member,
+    "one-ge5": lambda n, w: len(_ge5_sides(n, w)) == 1,
+    "im": lambda n, w: _ge5_sides(n, w) == [n],
 }
 
 

@@ -87,7 +87,8 @@ class NoConsecutiveTriple(PseudolineError):
 
 
 class EpsilonExhausted(PseudolineError):
-    """The necklace tilt left no all-line central face; construction bug."""
+    """The necklace tilt left a diagram outside Im; construction bug.  Only
+    m >= 3 can raise it: m = 2 is not checked."""
 
 
 class WrongLabels(PseudolineError):

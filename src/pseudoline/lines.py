@@ -2,14 +2,13 @@
 
 A line is y = slope * x + intercept with Fraction coefficients; vertical
 lines are not supported.  Conversion to a wiring diagram sweeps the
-crossings left to right, ordered by integer keys; no Fraction is built per crossing.
+crossings left to right, ordered by exact integer keys; no Fraction is built
+per crossing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
-from itertools import groupby
 from math import lcm
 from typing import NamedTuple
 
@@ -59,33 +58,27 @@ def integer_line(ln: Line) -> tuple[int, int, int]:
     return s.numerator * (b // s.denominator), b, t.numerator * (b // t.denominator)
 
 
-def crossing_key(u: tuple[int, int, int], w: tuple[int, int, int]) -> tuple[int, int, int]:
-    """(floor(x * 2**64), p, q) with q > 0: integer lines ``u`` and ``w`` cross at x = p / q."""
+def crossing_key(u: tuple[int, int, int], w: tuple[int, int, int], k: int) -> int:
+    """floor(x * 2**k), with x where integer lines ``u`` and ``w`` cross."""
     (a, b, c), (a2, b2, c2) = u, w
     p, q = c2 * b - c * b2, a * b2 - a2 * b
-    p, q = (p, q) if q > 0 else (-p, -q)
-    return (p << 64) // q, p, q
+    return (p << k) // q if q > 0 else (-p << k) // -q
 
 
-_by_x = cmp_to_key(lambda e, f: e[3] * f[4] - f[3] * e[4])  # crossings (key, i, j, p, q)
-
-
-def _order_ties(events: list[tuple]) -> None:
-    """Sort each run of crossings (key, i, j, p, q) of one key by exact x, equal x
-    kept in (i, j) order; ConcurrentLines if a line crosses two others at one x.
-    A line has one point at each x, so a line met twice in a group of equal x
-    meets the others of its crossings there."""
+def _check_simple(events: list[tuple[int, int, int]]) -> None:
+    """ConcurrentLines if a line crosses two others at one x.  A run of
+    crossings (key, i, j) of one key is one x, and a line has one point at
+    each x, so a line met twice in a run meets the others of its crossings
+    there."""
     ends = [k for k in range(1, len(events)) if events[k][0] != events[k - 1][0]] + [len(events)]
     for start, end in zip([0] + ends, ends):
         if end - start > 1:
-            events[start:end] = run = sorted(events[start:end], key=_by_x)
-            for _, group in groupby(run, key=_by_x):
-                group, seen = list(group), set()
-                for u in (u for e in group for u in e[1:3]):
-                    if u in seen:
-                        at = {v for e in group if u in e[1:3] for v in e[1:3]}
-                        raise ConcurrentLines(f"lines {tuple(sorted(at))} meet at one point")
-                    seen.add(u)
+            group, seen = events[start:end], set()
+            for u in (u for e in group for u in e[1:3]):
+                if u in seen:
+                    at = {v for e in group if u in e[1:3] for v in e[1:3]}
+                    raise ConcurrentLines(f"lines {tuple(sorted(at))} meet at one point")
+                seen.add(u)
 
 
 def lines_to_diagram(arr: LineArrangement) -> LinesResult:
@@ -93,7 +86,10 @@ def lines_to_diagram(arr: LineArrangement) -> LinesResult:
 
     Raises DuplicateSlope for parallel lines and ConcurrentLines when three
     or more lines meet in a point.  Crossings are sorted by the integer key
-    floor(x * 2**64) and, where keys tie, by exact cross-multiplication.
+    floor(x * 2**k), which is exact: in integer form (``integer_line``) with
+    A the largest |a| and B the largest b, every crossing is x = p / q with
+    0 < q <= 2AB, so two distinct crossings lie at least (2AB)**-2 apart,
+    and k = 2 * bitlen(2AB) puts them under distinct keys.
     """
     lines = arr.lines
     n = len(lines)
@@ -102,17 +98,19 @@ def lines_to_diagram(arr: LineArrangement) -> LinesResult:
         raise DuplicateSlope("two lines share a slope")
 
     abc = [integer_line(ln) for ln in lines]
-    # (key, i, j, p, q): lines i < j (0-based) cross at x = p / q
-    events = sorted((key, i, j, p, q) for i in range(n) for j in range(i + 1, n)
-                    for key, p, q in (crossing_key(abc[i], abc[j]),))
-    _order_ties(events)
+    a_max = max((abs(a) for a, _, _ in abc), default=0)
+    k = 2 * (2 * a_max * max((b for _, b, _ in abc), default=0)).bit_length()
+    # (key, i, j): lines i < j (0-based) cross at x = key / 2**k, rounded down
+    events = sorted((crossing_key(abc[i], abc[j], k), i, j)
+                    for i in range(n) for j in range(i + 1, n))
+    _check_simple(events)
 
     # Top wire as x -> -inf is the line of smallest slope.
     order = sorted(range(n), key=lambda i: slopes[i])
     wire_of_line = {idx: w + 1 for w, idx in enumerate(order)}
     pos = {idx: p for p, idx in enumerate(order)}  # 0-based track position
     swaps = []
-    for _, i, j, _, _ in events:
+    for _, i, j in events:
         pi, pj = pos[i], pos[j]
         if pi > pj:
             i, j, pi, pj = j, i, pj, pi

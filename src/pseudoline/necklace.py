@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .analysis import is_in_Im, face_census
-from .cells import CellComplex
+from .analysis import is_in_Im
 from .errors import EpsilonExhausted
 from .lines import Line, LineArrangement, lines_to_diagram
 
@@ -94,10 +93,10 @@ def _zonogon_lines(m: int, beads: tuple[int, ...], eps: Fraction) -> LineArrange
 def build_arrangement(m: int, beads: tuple[int, ...]) -> tuple[LineArrangement, "WiringDiagram"]:
     """Straight-line arrangement of 2m lines realizing the necklace class.
 
-    The pairs are tilted by 1/3 over the slope index plus one.  The
-    arrangement must be simple and its central face a 2m-gon carried by all
-    2m lines (for m >= 3 that face is the unique (>=5)-gon and the
-    membership test must pass); EpsilonExhausted otherwise.
+    The pairs are tilted by 1/3 over the slope index plus one.  For m >= 3
+    the diagram must be in Im, its central face the one (>=5)-gon, a 2m-gon;
+    EpsilonExhausted otherwise.  Four lines in general position bound exactly
+    one quadrilateral, on all four, so m = 2 needs no check.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}: two lines have no central face")
@@ -106,16 +105,7 @@ def build_arrangement(m: int, beads: tuple[int, ...]) -> tuple[LineArrangement, 
                          "bead j + m is 1 - bead j")
     arr = _zonogon_lines(m, beads, Fraction(1, 3))
     d = lines_to_diagram(arr).diagram
-    if not _central_face_ok(CellComplex(d), m):
+    if m >= 3 and not is_in_Im(d).member:
         raise EpsilonExhausted(f"the tilt 1/3 gives beads {beads} no central {2 * m}-gon")
     return arr, d
 
-
-def _central_face_ok(cx: CellComplex, m: int) -> bool:
-    if m >= 3:
-        return is_in_Im(cx.diagram, cx).member and max(face_census(cx).tally) == 2 * m
-    # 2m = 4: no (>=5)-gon can exist; require a 4-gon touching all 4 wires.
-    for f in cx.bounded_faces():
-        if cx.face_side_count(f) == 4 and len(cx.face_wires(f)) == 4:
-            return True
-    return False

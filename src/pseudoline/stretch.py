@@ -73,19 +73,19 @@ def realize_im(d: WiringDiagram) -> LineArrangement:
     if not im.member:
         raise NotInIm(f"the {d.n}-wire diagram has no all-wire (>=5)-gon")
     n = d.n
-    above = [False] * (n + 1)  # above[w]: P lies above wire w, s_w = 1
-    for e in cx.boundary_cycle(im.face):
-        above[cx.edge_wire(e)] = cx.sw.upper_face[e] == im.face
+    # above[w - 1]: s_w = 1, P lies above wire w: P is the upper face of one of w's edges
+    above = [im.face in cx.sw.upper_face[w * n : (w + 1) * n] for w in range(n)]
+    del cx  # only the bead word is read from it; free it before the closing sweep
     lines = []
     for p in range(1, n + 1):
         q = n + 1 - p
         c = Fraction(p * p + q * q, 2 * p * q)
-        lines.append(Line(Fraction(p * p - q * q, 2 * p * q), -c if above[p] else c))
+        lines.append(Line(Fraction(p * p - q * q, 2 * p * q), -c if above[p - 1] else c))
     arr = LineArrangement(tuple(lines))
     res = lines_to_diagram(arr)
     if (any(res.wire_of_line[i] != i + 1 for i in range(n))
             or res.diagram.local_sequences() != d.local_sequences()):
-        s = "".join("1" if a else "0" for a in above[1:])
+        s = "".join("1" if a else "0" for a in above)
         raise WrongLabels(f"the tangent model of bead word {s} is not the {n}-wire diagram: "
                           f"a counterexample to the tangent-model conjecture")
     return arr

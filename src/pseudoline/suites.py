@@ -15,13 +15,12 @@ from itertools import combinations
 from .analysis import (
     critical_edges,
     face_census,
-    find_unique_ge5,
     is_in_Im,
     triangle_adjacency,
     verify_counting_theorem,
 )
 from .cells import CellComplex
-from .errors import MultipleGe5Gons
+from .errors import MultipleGe5Gons, NoGe5Gon
 from .sweep import census_sides
 from .wiring import WiringDiagram, induced_subarrangement
 
@@ -52,12 +51,12 @@ def check_counting(cx: CellComplex) -> bool:
     (>=5)-gon (Leanos et al.; n >= 2), the paper's n - k and k + n(n - 5)/2
     with exactly one.  Two or more (>=5)-gons go unchecked."""
     try:
-        if find_unique_ge5(cx) is None:
-            n, census = cx.n, face_census(cx)
-            return n < 2 or (census[3], census[4]) == (n - 2, (n - 2) * (n - 3) // 2)
+        return verify_counting_theorem(cx).passed
     except MultipleGe5Gons:
         return True
-    return verify_counting_theorem(cx).passed
+    except NoGe5Gon:
+        n, census = cx.n, face_census(cx)
+        return n < 2 or (census[3], census[4]) == (n - 2, (n - 2) * (n - 3) // 2)
 
 
 def check_prop_triangle_per_wire(cx: CellComplex) -> bool:

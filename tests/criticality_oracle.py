@@ -15,7 +15,7 @@ def edge_flags(cx: CellComplex) -> dict[int, bool]:
     """Per boundary edge of P: is the induced face across it, away from P,
     unbounded."""
     p = find_unique_ge5(cx)
-    wires = sorted(cx.face_wires(p))
+    wires = sorted({cx.edge_wire(e) for e in cx.face_edges(p)})
     ind = induced_subarrangement(cx.diagram, wires)
     sub = CellComplex(ind.diagram)
     flags = {}

@@ -15,7 +15,7 @@ def test_triangle_n3():
     bounded = cx.bounded_faces()
     assert len(bounded) == 1
     assert cx.face_side_count(bounded[0]) == 3
-    assert cx.face_wires(bounded[0]) == {1, 2, 3}
+    assert {cx.edge_wire(e) for e in cx.face_edges(bounded[0])} == {1, 2, 3}
 
 
 def test_census_n4():
@@ -78,6 +78,17 @@ def test_census_sides_matches_cell_complex(n):
         cx = CellComplex(WiringDiagram(n, word))
         expected = sorted(cx.face_side_count(f) for f in cx.bounded_faces())
         assert census_sides(n, word) == expected
+
+
+@pytest.mark.parametrize("n,classes", [(1, False), (2, False), (3, False), (4, False),
+                                       (5, False), (6, True)])
+def test_a_face_meets_each_wire_in_at_most_one_edge(n, classes):
+    # what analysis.is_in_Im rests on: a face's side count is its wire count
+    for word in raw_words(n, classes=classes):
+        cx = CellComplex(WiringDiagram(n, word))
+        for f in range(cx.num_faces):
+            edges = cx.face_edges(f)
+            assert len({cx.edge_wire(e) for e in edges}) == len(edges)
 
 
 def test_unbounded_face_count():

@@ -1,8 +1,10 @@
+import random
 from math import comb
 
 import pytest
 
 from pseudoline.analysis import is_in_Im
+from pseudoline.cells import CellComplex
 from pseudoline.enumeration import MAX_N, enumerate_simple, is_normal, raw_words
 from pseudoline.errors import NTooLarge
 from pseudoline.isomorphism import canonical_form
@@ -152,6 +154,27 @@ def test_filter_one_ge5():
 def test_filter_im():
     ims = list(enumerate_simple(5, filter="im"))
     assert ims and all(is_in_Im(d).member for d in ims)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_im_filter_matches_is_in_Im_on_classes(n):
+    # a word ending its own prefix is kept exactly when it passes the filter;
+    # n = 7 checks a seeded sample of its 24,698 classes
+    words = list(raw_words(n, classes=True))
+    if n == 7:
+        words = random.Random(20100823).sample(words, 2000)
+    for w in words:
+        kept = list(enumerate_simple(n, filter="im", prefix=w))
+        assert bool(kept) == is_in_Im(WiringDiagram(n, w)).member
+
+
+def test_im_filter_builds_no_cell_complex(monkeypatch):
+    calls = []
+    init = CellComplex.__init__
+    monkeypatch.setattr(CellComplex, "__init__", lambda self, d: calls.append(d) or init(self, d))
+    assert len(list(enumerate_simple(5, filter="im"))) == 212
+    assert len(list(enumerate_simple(6, filter="im", dedup=True))) == 4
+    assert not calls
 
 
 def test_dedup_small():

@@ -109,7 +109,8 @@ def test_equal_x_different_y():
 
 
 def test_crossings_closer_than_the_key_resolution():
-    # the crossings at x = 1, 1 + 2^-80 and 1 + 2^-79 share floor(x * 2^64)
+    # the crossings at x = 1, 1 + 2^-80 and 1 + 2^-79 would share a fixed
+    # 64-bit key floor(x * 2^64)
     tiny = Fraction(1, 2**79)
     three = [L(0, 0), L(1, -1), Line(Fraction(2), -2 - tiny)]
     seen = set()
@@ -120,7 +121,7 @@ def test_crossings_closer_than_the_key_resolution():
 
 
 def test_concurrency_in_a_tied_key():
-    # lines through the origin, and a crossing at x = 2^-70: same floor key 0
+    # lines through the origin, and a crossing at x = 2^-70: same 64-bit key 0
     apart = [L(5, 7), Line(Fraction(-5), 7 + Fraction(10, 2**70))]
     for through in ([L(0, 0), L(1, 0), L(-1, 0)], [L(0, 0), L(1, 0), L(-1, 0), L(2, 0)]):
         for lines in (through + apart, apart + through, through[:1] + apart + through[1:]):
@@ -143,7 +144,7 @@ def test_realized_n32_matches_oracle():
 
 def test_a_run_of_one_key_sweeps_in_n_log_n():
     # slope i and intercept i^2 * 2^-80: lines i and j cross at
-    # x = -(i + j) * 2^-80, so all 8,128 crossings share the key
+    # x = -(i + j) * 2^-80, so all 8,128 crossings would share the 64-bit key
     # floor(x * 2^64) = -1, and each x holds up to 64 crossings at distinct y
     lines = [Line(Fraction(i), Fraction(i * i, 2**80)) for i in range(128)]
     t0 = time.perf_counter()
