@@ -92,6 +92,7 @@ class EpsilonExhausted(PseudolineError):
 
 
 class WrongLabels(PseudolineError):
-    """The realizer's closing labelled check failed: the tangent model's
-    lines do not sweep into the input diagram, line i on wire i + 1, which
-    would be a counterexample to the tangent-model conjecture."""
+    """The realizer's closing check failed: the input's local sequences are
+    not the closed form of its bead word.  By the triple rule (see
+    ``stretch``) they always are, so only a fault in the code can raise it:
+    a broken closed form, or a misread bead word."""

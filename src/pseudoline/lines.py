@@ -13,7 +13,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import ConcurrentLines, DuplicateSlope
-from .wiring import WiringDiagram, _clip, validate_wiring
+from .wiring import WiringDiagram, _clip
 
 __all__ = [
     "Line",
@@ -89,7 +89,8 @@ def lines_to_diagram(arr: LineArrangement) -> LinesResult:
     floor(x * 2**k), which is exact: in integer form (``integer_line``) with
     A the largest |a| and B the largest b, every crossing is x = p / q with
     0 < q <= 2AB, so two distinct crossings lie at least (2AB)**-2 apart,
-    and k = 2 * bitlen(2AB) puts them under distinct keys.
+    and k = 2 * bitlen(2AB) puts them under distinct keys.  Each pair
+    crosses once, at adjacent tracks, so the word is valid as built.
     """
     lines = arr.lines
     n = len(lines)
@@ -117,7 +118,7 @@ def lines_to_diagram(arr: LineArrangement) -> LinesResult:
         assert pj == pi + 1, "crossing lines are not adjacent in the sweep"
         pos[i], pos[j] = pj, pi
         swaps.append(pi + 1)
-    return LinesResult(validate_wiring(n, swaps), wire_of_line)
+    return LinesResult(WiringDiagram(n, tuple(swaps)), wire_of_line)
 
 
 def frac_str(f: Fraction) -> str:

@@ -321,17 +321,24 @@ def test_realize_rejects_non_im(tmp_path, capsys):
 
 
 def test_realize_exits_1_when_the_round_trip_fails(tmp_path, monkeypatch, capsys):
-    # realize_im's closing labelled check is the only one: make it fail by
-    # sweeping the lines into another diagram
+    # realize_im's closing labelled check is the only one: by the triple rule
+    # only a broken closed form fails it, so break it into another diagram's
     other = validate_wiring(5, [1, 2, 3, 4, 1, 2, 3, 1, 2, 1])
-    sweep = stretch.lines_to_diagram
-    monkeypatch.setattr(stretch, "lines_to_diagram",
-                        lambda arr: sweep(arr)._replace(diagram=other))
+    monkeypatch.setattr(stretch, "model_sequences", lambda word: other.local_sequences())
     path = write_diagram(tmp_path, "5\n1 2 1 3 4 3 2 1 3 2\n")
     assert main(["realize", path]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_realize_exits_1_on_a_gon_that_misses_a_wire_and_on_two_gons(tmp_path, capsys):
+    # one (>=5)-gon without an edge on wire 1; and two (>=5)-gons
+    for text in ("6\n1 2 1 3 2 1 4 3 5 4 3 2 1 3 2\n", "6\n1 2 1 3 2 4 5 4 3 2 1 2 4 3 2\n"):
+        path = write_diagram(tmp_path, text)
+        assert main(["realize", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: the 6-wire diagram has no all-wire (>=5)-gon\n"
 
 
 def test_render_diagram(tmp_path, capsys):

@@ -25,10 +25,21 @@ def L(s, b):
     return Line(Fraction(s), Fraction(b))
 
 
+# y = 0, y = x, y = -x + 1
+THREE_LINES = (L(0, 0), L(1, 0), L(-1, 1))
+# three crossings at x = 0, at y = 0, 1 and 5
+EQUAL_X_LINES = (L(1, 0), L(-1, 0), L(2, 1), L(-2, 1), L(3, 5), L(-3, 5))
+# y = 0 crosses y = x - 1 at x = 1, y = 2x - 2 - 2^-79 at x = 1 + 2^-80, and
+# the two cross at x = 1 + 2^-79
+CLOSE_LINES = (L(0, 0), L(1, -1), Line(Fraction(2), -2 - Fraction(1, 2**79)))
+# slope i and intercept i^2 * 2^-80: lines i and j cross at x = -(i + j) * 2^-80
+ONE_KEY_LINES = tuple(Line(Fraction(i), Fraction(i * i, 2**80)) for i in range(128))
+
+
 def test_three_lines():
     # y = 0, y = x, y = -x + 1: crossings at x = 0, 1/2, 1, and the first
     # one (at x = 0) is between the two bottom wires
-    res = lines_to_diagram(LineArrangement((L(0, 0), L(1, 0), L(-1, 1))))
+    res = lines_to_diagram(LineArrangement(THREE_LINES))
     assert res.diagram == validate_wiring(3, [2, 1, 2])
     # smallest slope is the top wire at x -> -inf
     assert res.wire_of_line == {2: 1, 0: 2, 1: 3}
@@ -53,7 +64,7 @@ def test_concurrent_lines():
 
 
 def test_four_lines_unique_class():
-    arr = LineArrangement((L(0, 0), L(1, 0), L(-1, 1), L(3, -5)))
+    arr = LineArrangement(THREE_LINES + (L(3, -5),))
     res = lines_to_diagram(arr)
     assert isomorphic(res.diagram, validate_wiring(4, [2, 1, 3, 2, 1, 3]))
 
@@ -102,19 +113,16 @@ def test_matches_fraction_oracle_on_random_arrangements():
 
 
 def test_equal_x_different_y():
-    # three crossings at x = 0, at y = 0, 1 and 5; swept in (i, j) order
-    lines = [L(1, 0), L(-1, 0), L(2, 1), L(-2, 1), L(3, 5), L(-3, 5)]
-    d, _ = assert_matches_oracle(lines)
+    # swept in (i, j) order
+    d, _ = assert_matches_oracle(EQUAL_X_LINES)
     assert d.swaps[6:9] == (5, 3, 1)
 
 
 def test_crossings_closer_than_the_key_resolution():
     # the crossings at x = 1, 1 + 2^-80 and 1 + 2^-79 would share a fixed
     # 64-bit key floor(x * 2^64)
-    tiny = Fraction(1, 2**79)
-    three = [L(0, 0), L(1, -1), Line(Fraction(2), -2 - tiny)]
     seen = set()
-    for lines in itertools.permutations(three):
+    for lines in itertools.permutations(CLOSE_LINES):
         seen.add(assert_matches_oracle(lines)[0].swaps)
     # y = 0 crosses y = x - 1 first, at x = 1, then y = 2x - 2 - 2^-79
     assert seen == {(1, 2, 1)}
@@ -143,11 +151,25 @@ def test_realized_n32_matches_oracle():
 
 
 def test_a_run_of_one_key_sweeps_in_n_log_n():
-    # slope i and intercept i^2 * 2^-80: lines i and j cross at
-    # x = -(i + j) * 2^-80, so all 8,128 crossings would share the 64-bit key
-    # floor(x * 2^64) = -1, and each x holds up to 64 crossings at distinct y
-    lines = [Line(Fraction(i), Fraction(i * i, 2**80)) for i in range(128)]
+    # all 8,128 crossings would share the 64-bit key floor(x * 2^64) = -1,
+    # and each x holds up to 64 crossings at distinct y
     t0 = time.perf_counter()
-    res = lines_to_diagram(LineArrangement(tuple(lines)))
+    res = lines_to_diagram(LineArrangement(ONE_KEY_LINES))
     assert time.perf_counter() - t0 < 1
-    assert outcome(lines_oracle.lines_to_diagram, lines) == (res.diagram, res.wire_of_line)
+    assert outcome(lines_oracle.lines_to_diagram, ONE_KEY_LINES) == (res.diagram, res.wire_of_line)
+
+
+def test_the_swept_words_pass_validate_wiring():
+    # lines_to_diagram builds its word without validate_wiring: every pair
+    # crosses once, at adjacent tracks, so each word must pass it unchanged
+    fixtures = [THREE_LINES, THREE_LINES + (L(3, -5),), EQUAL_X_LINES, ONE_KEY_LINES,
+                *itertools.permutations(CLOSE_LINES),
+                *(random_lines(random.Random(seed)) for seed in range(200))]
+    swept = 0
+    for lines in fixtures:
+        got = outcome(lines_to_diagram, lines)
+        if isinstance(got, tuple):
+            d = got[0]
+            assert validate_wiring(d.n, d.swaps) == d
+            swept += 1
+    assert swept == 109

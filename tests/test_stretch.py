@@ -2,7 +2,7 @@ import hashlib
 import itertools
 import random
 import sys
-from functools import partial
+from functools import cache, partial
 
 import pytest
 
@@ -14,12 +14,17 @@ from pseudoline.enumeration import raw_words
 from pseudoline.errors import NotInIm, WrongLabels
 from pseudoline.lines import lines_to_diagram
 from pseudoline.necklace import build_arrangement, enumerate_selfdual
-from pseudoline.stretch import BASE_N, realize_im, select_insertion_frame
+from pseudoline.stretch import (BASE_N, model_sequences, realize_im, select_insertion_frame,
+                                tangent_model)
+from pseudoline.sweep import census_sides
 from pseudoline.wiring import (WiringDiagram, format_diagram, induced_subarrangement,
                                validate_wiring)
 
 PENTAGON_5 = validate_wiring(5, [1, 2, 1, 3, 4, 3, 2, 1, 3, 2])
 NECKLACE_8 = build_arrangement(4, enumerate_selfdual(4)[1])[1]
+# one (>=5)-gon, which misses a wire; and two (>=5)-gons
+NON_IM_SIX = validate_wiring(6, [1, 2, 1, 3, 2, 1, 4, 3, 5, 4, 3, 2, 1, 3, 2])
+TWO_GONS_SIX = validate_wiring(6, [1, 2, 1, 3, 2, 4, 5, 4, 3, 2, 1, 2, 4, 3, 2])
 
 
 def necklace(n):
@@ -31,11 +36,13 @@ def necklace(n):
 
 def roundtrip(d):
     """``realize_im``'s lines, checked labelled: line W - 1 sweeps into wire W
-    and the lines cross in the local sequences of ``d``."""
+    and the lines cross in the local sequences of ``d``, which are the closed
+    form of the model's bead word."""
     arr = realize_im(d)
     res = lines_to_diagram(arr)
     assert res.wire_of_line == {i: i + 1 for i in range(d.n)}
-    assert res.diagram.local_sequences() == d.local_sequences()
+    assert res.diagram.local_sequences() == d.local_sequences() == model_sequences(
+        [int(c) for c in bead_word(arr)])
     return arr
 
 
@@ -46,8 +53,9 @@ def bead_word(arr):
 
 
 def test_not_in_im_rejected():
-    with pytest.raises(NotInIm):
-        realize_im(validate_wiring(4, [2, 1, 3, 2, 1, 3]))
+    for d in (validate_wiring(4, [2, 1, 3, 2, 1, 3]), NON_IM_SIX, TWO_GONS_SIX):
+        with pytest.raises(NotInIm):
+            realize_im(d)
     with pytest.raises(NotInIm):
         select_insertion_frame(CellComplex(validate_wiring(4, [2, 1, 3, 2, 1, 3])))
 
@@ -105,10 +113,11 @@ def first_middle_wire(d):
     return cx.edge_wire(cycle[(i + 1) % m])
 
 
+@cache
 def im_classes(n):
     """The commutation classes on n wires in Im, as diagrams."""
-    return [d for d in map(partial(WiringDiagram, n), raw_words(n, classes=True))
-            if is_in_Im(d).member]
+    return tuple(d for d in map(partial(WiringDiagram, n), raw_words(n, classes=True))
+                 if is_in_Im(d).member)
 
 
 def cycle_wires(d):
@@ -140,8 +149,8 @@ def test_insertion_wire():
 
 
 def test_realize_builds_no_complex_past_the_base(monkeypatch):
-    # the bead word is read off the input's one complex; the closing check
-    # sweeps lines and builds none
+    # Im and the bead word are read off the swaps, and the closing check
+    # compares local sequences: no complex is built and no line is swept
     d, sizes = necklace(16), []
     init = CellComplex.__init__
 
@@ -149,21 +158,85 @@ def test_realize_builds_no_complex_past_the_base(monkeypatch):
         sizes.append(diagram.n)
         init(self, diagram)
 
+    def unused(*args):
+        raise AssertionError("realize_im called is_in_Im")
+
     monkeypatch.setattr(CellComplex, "__init__", counted)
-    realize_im(d)
-    assert sizes == [16]
+    monkeypatch.setattr(stretch, "is_in_Im", unused)
+    roundtrip(d)
+    assert sizes == []
+    assert not hasattr(stretch, "CellComplex") and not hasattr(stretch, "lines_to_diagram")
 
 
 def test_failed_labelled_check_names_the_bead_word(monkeypatch):
-    # a model whose diagram is not the input is a counterexample to the
-    # conjecture: WrongLabels, naming the word
+    # by the triple rule only a broken closed form fails the check:
+    # WrongLabels, naming the word
     d = necklace(8)
-    assert d.swaps != NECKLACE_8.swaps
+    assert d.local_sequences() != NECKLACE_8.local_sequences()
     s = bead_word(realize_im(d))
-    monkeypatch.setattr(stretch, "lines_to_diagram",
-                        lambda arr: lines_to_diagram(arr)._replace(diagram=NECKLACE_8))
+    monkeypatch.setattr(stretch, "model_sequences", lambda word: NECKLACE_8.local_sequences())
     with pytest.raises(WrongLabels, match=f"bead word {s} "):
         realize_im(d)
+
+
+def non_monotone_words(n):
+    """The 2^n - 2n words of n bits that are not 0^k 1^(n-k) or 1^k 0^(n-k)."""
+    return [s for s in itertools.product((0, 1), repeat=n)
+            if sum(s[i] != s[i + 1] for i in range(n - 1)) > 1]
+
+
+def test_model_sweeps_into_the_closed_form():
+    # the geometric half of the theorem, apart from any diagram: the tangent
+    # model of every non-monotone word sweeps into the closed form, line
+    # W - 1 on wire W, and its one (>=5)-gon has n sides
+    count = 0
+    for n in range(5, 11):
+        for s in non_monotone_words(n):
+            res = lines_to_diagram(tangent_model(s))
+            assert res.wire_of_line == {i: i + 1 for i in range(n)}
+            assert res.diagram.local_sequences() == model_sequences(s)
+            assert [c for c in census_sides(n, res.diagram.swaps) if c >= 5] == [n]
+            count += 1
+    assert count == 1926
+
+
+def test_closed_form_is_the_triple_rule():
+    # on wire W, the order of x < y is the triple rule's for the triple
+    # sorted: in 1 2 1, a meets b first, b meets a, c meets a; in 2 1 2 the
+    # reverse.  Every word with n = 3..7 covers all 24 cases of x's, y's and
+    # W's bits and of how many of x and y exceed W
+    cases = set()
+    for n in range(3, 8):
+        for s in itertools.product((0, 1), repeat=n):
+            seqs = model_sequences(s)
+            for w in range(1, n + 1):
+                pos = {v: i for i, v in enumerate(seqs[w])}
+                for x, y in itertools.combinations([v for v in range(1, n + 1) if v != w], 2):
+                    a, b, c = sorted((w, x, y))
+                    one_two_one = s[a - 1] + s[c - 1] > s[b - 1]
+                    first = {a: (b, c), b: (a, c), c: (a, b)}[w][0 if one_two_one else 1]
+                    assert (pos[x] < pos[y]) == (first == x)
+                    cases.add((s[x - 1], s[y - 1], s[w - 1], (x > w) + (y > w)))
+    assert len(cases) == 24
+
+
+def test_triple_rule_on_im_classes():
+    # wire b meets a before c exactly when s_a + s_c > s_b, on every triple
+    # of every Im class with n <= 7; s is read off the complex here, and
+    # realize_im's lines carry the same word
+    count = 0
+    for n in (5, 6, 7):
+        for d in im_classes(n):
+            cx = CellComplex(d)
+            P = is_in_Im(d, cx).face
+            s = [int(P in cx.sw.upper_face[w * n:(w + 1) * n]) for w in range(n)]
+            assert bead_word(realize_im(d)) == "".join(map(str, s))
+            local = d.local_sequences()
+            for a, b, c in itertools.combinations(range(1, n + 1), 3):
+                seq = local[b]
+                assert (seq.index(a) < seq.index(c)) == (s[a - 1] + s[c - 1] > s[b - 1])
+            count += 1
+    assert count == 188
 
 
 def test_recursive_realization_n8():
@@ -217,6 +290,11 @@ def test_realize_twelve_wire_cuts():
 @pytest.mark.parametrize("n", [16, 24, 48])
 def test_realize_necklace_roundtrip(n):
     assert roundtrip(necklace(n)).n == n
+
+
+@pytest.mark.parametrize("n", [16, 32, 128, 256])
+def test_realize_seeded_necklace_roundtrip(n):
+    assert roundtrip(seeded_necklace(n)).n == n
 
 
 def seeded_necklace(n):
