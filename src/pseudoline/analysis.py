@@ -8,6 +8,7 @@ wires.  k is read off P's own crossings; that subarrangement is never built.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -64,17 +65,13 @@ class ImResult(NamedTuple):
 
 
 def face_census(cx: CellComplex) -> FaceCensus:
-    tally: dict[int, int] = {}
-    total = 0
-    for f in cx.bounded_faces():
-        s = cx.face_side_count(f)
-        tally[s] = tally.get(s, 0) + 1
-        total += 1
-    return FaceCensus(tally, total)
+    bounded, sides = cx.bounded_faces(), cx.face_sides
+    return FaceCensus(dict(Counter(sides[f] for f in bounded)), len(bounded))
 
 
 def find_unique_ge5(cx: CellComplex) -> int | None:
-    hits = [f for f in cx.bounded_faces() if cx.face_side_count(f) >= 5]
+    sides = cx.face_sides
+    hits = [f for f in cx.bounded_faces() if sides[f] >= 5]
     if not hits:
         return None
     if len(hits) > 1:

@@ -19,8 +19,9 @@ class CellComplex:
     """Incidence structure of a wiring diagram.
 
     Immutable after construction.  Faces and edges are referred to by dense
-    integer ids; the flat arrays from the sweep are the ground truth, and
-    the per-face edge lists and the crossing-step lookup are built lazily.
+    integer ids; the flat arrays from the sweep are the ground truth.  The
+    face table (side counts, bounded faces), the per-face edge lists and the
+    crossing-step lookup are built from them lazily, on first use.
     """
 
     def __init__(self, diagram: WiringDiagram):
@@ -87,6 +88,22 @@ class CellComplex:
         return self.sw.face_open[f] >= 0 and self.sw.face_close[f] >= 0
 
     @cached_property
+    def face_sides(self) -> list[int]:
+        """Side count per face id, unbounded faces included: each edge is a
+        side of the face above it and of the face below it."""
+        sides = [0] * self.num_faces
+        for f in self.sw.upper_face:
+            sides[f] += 1
+        for f in self.sw.lower_face:
+            sides[f] += 1
+        return sides
+
+    @cached_property
+    def _bounded(self) -> tuple[int, ...]:
+        fo, fc = self.sw.face_open, self.sw.face_close
+        return tuple(f for f in range(self.num_faces) if fo[f] >= 0 and fc[f] >= 0)
+
+    @cached_property
     def _face_edges(self) -> list[list[int]]:
         by_face: list[list[int]] = [[] for _ in range(self.num_faces)]
         for e in range(self.num_edges):
@@ -98,10 +115,10 @@ class CellComplex:
         return self._face_edges[f]
 
     def face_side_count(self, f: int) -> int:
-        return len(self._face_edges[f])
+        return self.face_sides[f]
 
-    def bounded_faces(self) -> list[int]:
-        return [f for f in range(self.num_faces) if self.face_bounded(f)]
+    def bounded_faces(self) -> tuple[int, ...]:
+        return self._bounded
 
     def boundary_cycle(self, f: int) -> tuple[int, ...]:
         """Boundary edges of a bounded face as one closed cycle.

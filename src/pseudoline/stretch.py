@@ -46,7 +46,6 @@ from fractions import Fraction
 from .analysis import critical_flags, is_in_Im
 from .errors import NoConsecutiveTriple, NotInIm, WrongLabels
 from .lines import Line, LineArrangement
-from .sweep import census_sides
 from .wiring import WiringDiagram
 
 __all__ = ["select_insertion_frame", "realize_im", "model_sequences", "tangent_model",
@@ -83,21 +82,23 @@ def select_insertion_frame(cx) -> list[int]:
 
 
 def _bead_word(n: int, swaps) -> list[int]:
-    """s, per wire, of the face that closes with n sides: the ``census_sides``
-    pass, keeping each open face's lower chain, the wires it lies above.
-    A swap of u over v at track t closes region t's face and opens one over
-    u; it puts v under region t - 1 and u over region t + 1.  Regions 0 and
-    n never close."""
+    """s, per wire, of the only face that closes with >= 5 sides, which must
+    have n sides, else NotInIm: a face meets each wire in at most one edge,
+    so Im means the one (>=5)-gon has n sides.  The ``census_sides`` pass,
+    keeping each open face's lower chain, the wires it lies above.  A swap
+    of u over v at track t closes region t's face and opens one over u; it
+    puts v under region t - 1 and u over region t + 1.  Regions 0 and n
+    never close."""
     perm = list(range(1, n + 1))
     opened = [False] * (n + 1)
     sides = [2] * (n + 1)
     lower = [[] for _ in range(n + 1)]
+    gons, chain = 0, None
     for t in swaps:
-        if opened[t] and sides[t] == n:
-            s = [0] * n
-            for w in lower[t]:
-                s[w - 1] = 1
-            return s
+        if opened[t] and sides[t] >= 5:
+            gons += 1
+            if sides[t] == n:
+                chain = lower[t]
         u, v = perm[t - 1], perm[t]
         perm[t - 1], perm[t] = v, u
         opened[t] = True
@@ -106,7 +107,12 @@ def _bead_word(n: int, swaps) -> list[int]:
         sides[t - 1] += 1
         lower[t - 1].append(v)
         sides[t + 1] += 1
-    raise NotInIm(f"no face of the {n}-wire diagram has {n} sides")
+    if gons != 1 or chain is None:
+        raise NotInIm(f"the {n}-wire diagram has no all-wire (>=5)-gon")
+    s = [0] * n
+    for w in chain:
+        s[w - 1] = 1
+    return s
 
 
 def model_sequences(s) -> dict[int, tuple[int, ...]]:
@@ -147,9 +153,6 @@ def realize_im(d: WiringDiagram) -> LineArrangement:
     not in Im, WrongLabels if ``d``'s local sequences are not the closed
     form of its bead word."""
     n = d.n
-    # a face meets a wire in at most one edge, so Im: the one (>=5)-gon has n sides
-    if [c for c in census_sides(n, d.swaps) if c >= 5] != [n]:
-        raise NotInIm(f"the {n}-wire diagram has no all-wire (>=5)-gon")
     s = _bead_word(n, d.swaps)
     if d.local_sequences() != model_sequences(s):
         word = "".join(map(str, s))

@@ -10,7 +10,7 @@ about triangular regions and uncrossed (>=5)-gon edges.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .analysis import (
     critical_edges,
@@ -66,11 +66,9 @@ def check_prop_triangle_per_wire(cx: CellComplex) -> bool:
 
 def check_criticality_bound(cx: CellComplex) -> bool:
     """No bounded (>=4)-gon has more than 2 critical edges."""
-    for f in cx.bounded_faces():
-        if cx.face_side_count(f) >= 4:
-            if sum(critical_edges(cx, f).values()) > 2:
-                return False
-    return True
+    sides = cx.face_sides
+    return all(sum(critical_edges(cx, f).values()) <= 2
+               for f in cx.bounded_faces() if sides[f] >= 4)
 
 
 def check_im_structure(cx: CellComplex) -> bool:
@@ -79,28 +77,19 @@ def check_im_structure(cx: CellComplex) -> bool:
     im = is_in_Im(cx.diagram, cx)
     if not im.member:
         return True
-    P = im.face
-    flags = critical_edges(cx, P)
-    for eid, crit in flags.items():
-        if not crit:
-            other = cx.twin(eid, P)
-            if cx.face_side_count(other) != 3:
-                return False
-    for f in cx.bounded_faces():
-        if cx.face_side_count(f) == 3:
-            if not any(cx.twin(eid, f) == P for eid in cx.face_edges(f)):
-                return False
-    return True
+    P, sides = im.face, cx.face_sides
+    across = [(crit, cx.twin(eid, P)) for eid, crit in critical_edges(cx, P).items()]
+    if any(not crit and sides[f] != 3 for crit, f in across):
+        return False
+    beside_P = {f for _, f in across}
+    return all(f in beside_P for f in cx.bounded_faces() if sides[f] == 3)
 
 
 def check_no_shared_triangle_edge(cx: CellComplex) -> bool:
-    for f in cx.bounded_faces():
-        if cx.face_side_count(f) == 3:
-            for eid in cx.face_edges(f):
-                other = cx.twin(eid, f)
-                if other != f and cx.face_bounded(other) and cx.face_side_count(other) == 3:
-                    return False
-    return True
+    """No edge is a side of two bounded triangles."""
+    sides, bounded = cx.face_sides, cx.face_bounded
+    return not any(a != b and sides[a] == sides[b] == 3 and bounded(a) and bounded(b)
+                   for a, b in zip(cx.sw.upper_face, cx.sw.lower_face))
 
 
 def _faces_along(cx: CellComplex, w: int, s1: int, s2: int, above: bool) -> list[int]:
@@ -112,29 +101,44 @@ def _faces_along(cx: CellComplex, w: int, s1: int, s2: int, above: bool) -> list
     return (cx.sw.upper_face if above else cx.sw.lower_face)[base + i + 1 : base + j + 1]
 
 
-def _triangle_region_faces(cx: CellComplex):
-    """Per (r, s1, s2, ell): the faces on ``ell`` inside the triangular
-    region T of r and the wires crossing it at the consecutive steps s1 < s2.
+def _triangle_region_edges(cx: CellComplex):
+    """Per (r, s1, s2, ell): the edges of ``ell`` inside the triangular
+    region T of r and the wires crossing it at the consecutive steps
+    s1 < s2, as the edge-id range [lo, hi), and whether T lies above ``ell``.
 
-    T lies on the side of ``ell`` where the other wire o meets r.
+    With rank[w][x] the place of w's crossing with x along w, the range is
+    the stretch of ``ell`` between its crossings with r and with the other
+    wire o.  T lies on the side of ``ell`` where o meets r: o is above
+    ``ell`` there when it starts above (o < ell) and meets r first, or
+    starts below and meets ``ell`` first.
     """
-    sw = cx.sw
-    for r in range(1, cx.n + 1):
+    n, sw = cx.n, cx.sw
+    seq = [[]] + [[sw.cross_u[s] + sw.cross_v[s] - w for s in cx.wire_crossing_steps(w)]
+                  for w in range(1, n + 1)]
+    rank = [[0] * (n + 1) for _ in seq]
+    for w in range(1, n + 1):
+        for i, x in enumerate(seq[w]):
+            rank[w][x] = i
+    for r in range(1, n + 1):
         steps = cx.wire_crossing_steps(r)
-        for s1, s2 in zip(steps, steps[1:]):
-            p = sw.cross_u[s1] + sw.cross_v[s1] - r  # r's partner at s1
-            q = sw.cross_u[s2] + sw.cross_v[s2] - r
+        for k in range(n - 2):
+            p, q = seq[r][k], seq[r][k + 1]
             for ell, o in ((p, q), (q, p)):
-                above = cx.above(o, ell, cx.step_of(o, r))
-                yield (r, s1, s2, ell), _faces_along(cx, ell, cx.step_of(ell, r),
-                                                     cx.step_of(ell, o), above)
+                i, j = sorted((rank[ell][r], rank[ell][o]))
+                base = (ell - 1) * n + 1
+                yield ((r, steps[k], steps[k + 1], ell),
+                       (base + i, base + j, (o < ell) != (rank[o][ell] < rank[o][r])))
 
 
 def check_triangle_region_lemma(cx: CellComplex) -> bool:
     """Uncrossed edge of a triangular region T on wire r: each of the other
-    two wires of T bounds a triangle face contained in T."""
-    return all(any(cx.face_side_count(f) == 3 for f in faces)
-               for _, faces in _triangle_region_faces(cx))
+    two wires of T bounds a triangle face contained in T.  Per-side prefix
+    counts of triangles over the edge ids count each range in O(1)."""
+    sides = cx.face_sides
+    below_above = [list(accumulate((sides[f] == 3 for f in faces), initial=0))
+                   for faces in (cx.sw.lower_face, cx.sw.upper_face)]
+    return all(below_above[up][hi] > below_above[up][lo]
+               for _, (lo, hi, up) in _triangle_region_edges(cx))
 
 
 def _uncrossed_edge_faces(cx: CellComplex):
@@ -153,7 +157,7 @@ def _uncrossed_edge_faces(cx: CellComplex):
                 continue
             sub = CellComplex(ind.diagram)
             for Q in sub.bounded_faces():
-                if sub.face_side_count(Q) < 5:
+                if sub.face_sides[Q] < 5:
                     continue
                 cycle = sub.boundary_cycle(Q)
                 along = [_faces_along(cx, kept[sub.edge_wire(e) - 1],
@@ -173,8 +177,8 @@ def check_uncrossed_edge_lemma(cx: CellComplex) -> bool:
     full arrangement contained in Q.  (With Q a face of the full arrangement
     itself the statement holds with that face as its own witness, so only
     proper subsets are examined.)"""
-    return all(any(cx.face_side_count(f) >= 5 for f in faces)
-               for _, faces in _uncrossed_edge_faces(cx))
+    sides = cx.face_sides
+    return all(any(sides[f] >= 5 for f in faces) for _, faces in _uncrossed_edge_faces(cx))
 
 
 ALL_CHECKS = {

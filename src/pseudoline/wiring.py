@@ -63,24 +63,23 @@ def validate_wiring(n: int, swaps) -> WiringDiagram:
 
     Raises WrongLength, BadTrack, or DoubleCross.  A sequence of the right
     length in which no pair crosses twice necessarily crosses every pair
-    exactly once and ends in reversed wire order.
+    exactly once and ends in reversed wire order.  The wires start in label
+    order, so until a pair crosses twice, u over v has crossed exactly when
+    u > v: no set of crossed pairs is needed.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    swaps = tuple(int(t) for t in swaps)
+    swaps = tuple(map(int, swaps))
     expected = n * (n - 1) // 2
     if len(swaps) != expected:
         raise WrongLength(n, expected, len(swaps))
     perm = list(range(1, n + 1))
-    crossed = set()
     for step, t in enumerate(swaps, start=1):
         if not 1 <= t <= n - 1:
             raise BadTrack(t, n, step)
         u, v = perm[t - 1], perm[t]
-        pair = (v, u) if v < u else (u, v)
-        if pair in crossed:
-            raise DoubleCross(pair, step)
-        crossed.add(pair)
+        if u > v:
+            raise DoubleCross((v, u), step)
         perm[t - 1], perm[t] = v, u
     assert perm == list(range(n, 0, -1))
     return WiringDiagram(n, swaps)
@@ -102,16 +101,21 @@ def induced_subarrangement(d: WiringDiagram, keep) -> InducedResult:
     wires.  That track changes only when two kept wires cross, so it is
     swapped there: O(n^2) per call.  Each kept pair crosses once: no check.
     """
-    keep = set(keep)
+    keep = sorted(set(keep))
     if not keep:
         raise EmptySubset("keep must be a nonempty wire subset")
-    bad = keep - set(range(1, d.n + 1))
+    bad = [w for w in keep if not 1 <= w <= d.n]
     if bad:
-        raise ValueError(f"unknown wires: {sorted(bad)}")
-    track = {w: i + 1 for i, w in enumerate(sorted(keep))}
+        raise ValueError(f"unknown wires: {bad}")
+    track = [0] * (d.n + 1)  # per wire: its track among the kept wires, 0 if dropped
+    for i, w in enumerate(keep, start=1):
+        track[w] = i
+    perm = list(range(d.n + 1))  # perm[t]: the wire at track t
     sub_swaps, parent_step = [], []
-    for step, (u, v) in enumerate(d.crossing_pairs()):
-        if u in track and v in track:
+    for step, t in enumerate(d.swaps):
+        u, v = perm[t], perm[t + 1]
+        perm[t], perm[t + 1] = v, u
+        if track[u] and track[v]:
             # u sits directly above v, so also adjacent among kept wires
             sub_swaps.append(track[u])
             parent_step.append(step)

@@ -273,15 +273,17 @@ def test_criterion_09_realizer_roundtrip(necklace_diagrams):
             targets.append(induced_subarrangement(d, kept).diagram)
     bad = None
     for d in targets:
-        arr = realize_im(d)
-        if not isomorphic(lines_to_diagram(arr).diagram, d):
+        # labelled: line i sweeps into wire i + 1, in d's local sequences
+        res = lines_to_diagram(realize_im(d))
+        if (res.wire_of_line != {i: i + 1 for i in range(d.n)}
+                or res.diagram.local_sequences() != d.local_sequences()):
             bad = d
             break
     elapsed = time.perf_counter() - t0
     report(
         9,
         bad is None and elapsed < 300,
-        f"exact straight-line realization round-trips on {len(targets)} Im "
+        f"exact straight-line realization round-trips, labelled, on {len(targets)} Im "
         f"diagrams (necklaces 2m<=12 + their deletion-order remainders, {elapsed:.1f}s)",
     )
 

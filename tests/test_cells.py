@@ -4,8 +4,11 @@ from pathlib import Path
 import pytest
 
 import pseudoline
+from pseudoline.analysis import face_census, find_unique_ge5
 from pseudoline.cells import CellComplex
 from pseudoline.enumeration import raw_words
+from pseudoline.errors import MultipleGe5Gons
+from pseudoline.suites import check_triangle_region_lemma
 from pseudoline.sweep import census_sides
 from pseudoline.wiring import WiringDiagram, validate_wiring
 
@@ -89,6 +92,29 @@ def test_a_face_meets_each_wire_in_at_most_one_edge(n, classes):
         for f in range(cx.num_faces):
             edges = cx.face_edges(f)
             assert len({cx.edge_wire(e) for e in edges}) == len(edges)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_face_sides_are_the_edge_list_lengths(n):
+    # the face table is counted off the sweep arrays, unbounded faces included
+    for word in raw_words(n, classes=True):
+        cx = CellComplex(WiringDiagram(n, word))
+        assert cx.face_sides == [len(cx.face_edges(f)) for f in range(cx.num_faces)]
+        assert cx.bounded_faces() == tuple(f for f in range(cx.num_faces) if cx.face_bounded(f))
+
+
+@pytest.mark.parametrize("read", [find_unique_ge5, face_census, CellComplex.bounded_faces,
+                                  check_triangle_region_lemma],
+                         ids=lambda f: f.__name__)
+def test_face_table_readers_build_no_edge_lists(read):
+    for n in (5, 6):
+        for word in raw_words(n, classes=True):
+            cx = CellComplex(WiringDiagram(n, word))
+            try:
+                read(cx)
+            except MultipleGe5Gons:  # find_unique_ge5 on two (>=5)-gons
+                pass
+            assert "_face_edges" not in cx.__dict__
 
 
 def test_unbounded_face_count():

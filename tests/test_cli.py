@@ -11,13 +11,13 @@ import pytest
 
 import pseudoline
 from pseudoline import stretch
-from pseudoline.cli import _arrangement_json, main
+from pseudoline.cli import _arrangement_json, _parse_arrangement, main
 from pseudoline.enumeration import MAX_N
-from pseudoline.lines import Line, LineArrangement
+from pseudoline.lines import Line, LineArrangement, lines_to_diagram
 from pseudoline.necklace import build_arrangement, enumerate_selfdual
 from pseudoline.stretch import realize_im
 from pseudoline.suites import ALL_CHECKS
-from pseudoline.wiring import format_diagram, validate_wiring
+from pseudoline.wiring import format_diagram, parse_diagram, validate_wiring
 
 
 def write_diagram(tmp_path, text):
@@ -267,10 +267,12 @@ def test_enumerate_dedup_jobs(capsys):
 
 
 def test_realize_roundtrip(tmp_path, capsys):
-    path = write_diagram(tmp_path, "5\n1 2 1 3 4 3 2 1 3 2\n")
-    assert main(["realize", path]) == 0
-    arr = json.loads(capsys.readouterr().out)
-    assert len(arr) == 5
+    text = "5\n1 2 1 3 4 3 2 1 3 2\n"
+    assert main(["realize", write_diagram(tmp_path, text)]) == 0
+    # labelled: the printed line i sweeps into wire i + 1, in the input's local sequences
+    res = lines_to_diagram(_parse_arrangement(capsys.readouterr().out))
+    assert res.wire_of_line == {i: i + 1 for i in range(5)}
+    assert res.diagram.local_sequences() == parse_diagram(text).local_sequences()
 
 
 def test_realize_has_no_seed(tmp_path, capsys):

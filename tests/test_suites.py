@@ -92,17 +92,45 @@ def test_check_fails_on_a_tampered_complex(name, n, word, tamper):
     assert check(cx) is False
 
 
+def assert_prefix_verdict(cx):
+    """The triangle lemma's prefix counts decide as the faces of each range do."""
+    side = cx.face_side_count
+    expected = all(any(side(f) == 3 for f in faces) for _, faces in _triangle_region_faces(cx))
+    assert suites.check_triangle_region_lemma(cx) is expected
+    return expected
+
+
+def test_prefix_verdict_on_tampered_complexes():
+    # moving faces between edges makes the verdict go both ways
+    rng = random.Random(20100823)
+    verdicts = set()
+    for n in range(3, 6):
+        for word in raw_words(n, classes=True):
+            for _ in range(10):
+                cx = CellComplex(WiringDiagram(n, word))
+                cx.sw = cx.sw._replace(**swap_upper(*rng.sample(range(n * n), 2))(cx.sw))
+                verdicts.add(assert_prefix_verdict(cx))
+    assert verdicts == {True, False}
+
+
 # The lemma checks against the probe-point oracle in ``lemma_oracle``: per
 # key, the faces that witness the lemma must be the same set.
 def _witnesses(keyed_faces, keep):
     return {key: {f for f in faces if keep(f)} for key, faces in keyed_faces}
 
 
+def _triangle_region_faces(cx):
+    """Per key, the faces on T's side of each edge in the key's range."""
+    for key, (lo, hi, above) in suites._triangle_region_edges(cx):
+        yield key, (cx.sw.upper_face if above else cx.sw.lower_face)[lo:hi]
+
+
 def _assert_same_witnesses(d):
     cx = CellComplex(d)
     side = cx.face_side_count
-    got = _witnesses(suites._triangle_region_faces(cx), lambda f: side(f) == 3)
+    got = _witnesses(_triangle_region_faces(cx), lambda f: side(f) == 3)
     assert got == triangle_region_witnesses(d, cx), d
+    assert_prefix_verdict(cx)
     got = _witnesses(suites._uncrossed_edge_faces(cx), lambda f: side(f) >= 5)
     assert got == uncrossed_edge_witnesses(d, cx), d
 
