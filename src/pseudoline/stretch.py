@@ -85,10 +85,8 @@ def _bead_word(n: int, swaps) -> list[int]:
     """s, per wire, of the only face that closes with >= 5 sides, which must
     have n sides, else NotInIm: a face meets each wire in at most one edge,
     so Im means the one (>=5)-gon has n sides.  The ``census_sides`` pass,
-    keeping each open face's lower chain, the wires it lies above.  A swap
-    of u over v at track t closes region t's face and opens one over u; it
-    puts v under region t - 1 and u over region t + 1.  Regions 0 and n
-    never close."""
+    keeping each open face's lower chain, the wires it lies above, by the
+    chain rule of ``sweep``."""
     perm = list(range(1, n + 1))
     opened = [False] * (n + 1)
     sides = [2] * (n + 1)

@@ -9,7 +9,6 @@ about triangular regions and uncrossed (>=5)-gon edges.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import accumulate, combinations
 
 from .analysis import (
@@ -21,8 +20,7 @@ from .analysis import (
 )
 from .cells import CellComplex
 from .errors import MultipleGe5Gons, NoGe5Gon
-from .sweep import census_sides
-from .wiring import WiringDiagram, induced_subarrangement
+from .wiring import WiringDiagram
 
 __all__ = [
     "check_cell_formula",
@@ -92,15 +90,6 @@ def check_no_shared_triangle_edge(cx: CellComplex) -> bool:
                    for a, b in zip(cx.sw.upper_face, cx.sw.lower_face))
 
 
-def _faces_along(cx: CellComplex, w: int, s1: int, s2: int, above: bool) -> list[int]:
-    """The faces above (or below) wire ``w`` between its crossings at steps
-    s1 and s2: one per edge of ``w`` in that stretch."""
-    steps = cx.wire_crossing_steps(w)  # ascending
-    i, j = sorted((bisect_left(steps, s1), bisect_left(steps, s2)))
-    base = (w - 1) * cx.n
-    return (cx.sw.upper_face if above else cx.sw.lower_face)[base + i + 1 : base + j + 1]
-
-
 def _triangle_region_edges(cx: CellComplex):
     """Per (r, s1, s2, ell): the edges of ``ell`` inside the triangular
     region T of r and the wires crossing it at the consecutive steps
@@ -143,32 +132,50 @@ def check_triangle_region_lemma(cx: CellComplex) -> bool:
 
 def _uncrossed_edge_faces(cx: CellComplex):
     """Per (kept, Q, uncrossed edge, neighbour edge), with Q a (>=5)-gon of
-    the subarrangement on ``kept`` and the edges two consecutive edges of Q:
-    the faces of the full arrangement inside Q along the neighbour edge.
+    the subarrangement on ``kept`` and the edges two consecutive edges of Q,
+    numbered as in that subarrangement's complex: the faces of the full
+    arrangement inside Q along the neighbour edge.
 
-    An edge of Q is uncrossed when its stretch of the parent wire holds one
-    full edge, whose face on Q's side is then the only face listed for it.
+    One pass per subset over the crossings of kept wires keeps each open
+    face's lower and upper chains by the chain rule of ``sweep``.  A chain
+    entry [lo, hi, e] is the sub-edge e, which holds the parent edges
+    lo..hi-1 of one wire.  It is uncrossed when it holds one, whose face on
+    Q's side is then the only face listed for it.
     """
-    n = cx.n
-    for size in range(5, n):
-        for kept in combinations(range(1, n + 1), size):
-            ind = induced_subarrangement(cx.diagram, kept)
-            if max(census_sides(size, ind.diagram.swaps), default=0) < 5:
-                continue
-            sub = CellComplex(ind.diagram)
-            for Q in sub.bounded_faces():
-                if sub.face_sides[Q] < 5:
-                    continue
-                cycle = sub.boundary_cycle(Q)
-                along = [_faces_along(cx, kept[sub.edge_wire(e) - 1],
-                                      *(ind.parent_step[s] for s in sub.edge_span(e)),
-                                      sub.sw.upper_face[e] == Q)
-                         for e in cycle]
-                m = len(cycle)
-                for i in range(m):
-                    if len(along[i]) == 1:
-                        for j in ((i - 1) % m, (i + 1) % m):
-                            yield (kept, Q, cycle[i], cycle[j]), along[j]
+    n, sw = cx.n, cx.sw
+    if n < 6:
+        return
+    after = [[0, 0] for _ in sw.cross_u]  # per step: the ids of u's and v's edges after it
+    for w in range(1, n + 1):
+        for eid, s in enumerate(cx.wire_crossing_steps(w), start=(w - 1) * n + 1):
+            after[s][sw.cross_v[s] == w] = eid
+    table = list(zip(sw.cross_u, sw.cross_v, after))
+    for m in range(5, n):
+        for kept in combinations(range(1, n + 1), m):
+            track = [0] * (n + 1)  # per wire: its sub-track, 0 if dropped
+            edge = [None] * (n + 1)  # per kept wire: the entry of its current sub-edge
+            for i, w in enumerate(kept):
+                track[w], edge[w] = i + 1, [0, 0, i * m]
+            face = [-1] * (m + 1)  # per region: its open face's id, -1 if open at -infinity
+            lower, upper = [[] for _ in range(m + 1)], [[] for _ in range(m + 1)]
+            rows = [row for row in table if track[row[0]] and track[row[1]]]
+            for f, (u, v, (eu, ev)) in enumerate(rows, start=m + 1):
+                a = track[u]
+                edge[u][1], edge[v][1] = eu, ev  # their sub-edges end here
+                if face[a] >= 0 and len(lower[a]) + len(upper[a]) >= 5:
+                    cycle = lower[a] + upper[a][::-1]
+                    q = len(cycle)
+                    for i, (lo, hi, e) in enumerate(cycle):
+                        if hi - lo == 1:
+                            for j in ((i - 1) % q, (i + 1) % q):
+                                lo2, hi2, e2 = cycle[j]
+                                faces = sw.upper_face if j < len(lower[a]) else sw.lower_face
+                                yield (kept, face[a], e, e2), faces[lo2:hi2]
+                edge[u], edge[v] = [eu, 0, edge[u][2] + 1], [ev, 0, edge[v][2] + 1]
+                face[a], lower[a], upper[a] = f, [edge[u]], [edge[v]]
+                lower[a - 1].append(edge[v])
+                upper[a + 1].append(edge[u])
+                track[u], track[v] = a + 1, a
 
 
 def check_uncrossed_edge_lemma(cx: CellComplex) -> bool:
@@ -176,7 +183,8 @@ def check_uncrossed_edge_lemma(cx: CellComplex) -> bool:
     Q-edge adjacent to w carries, as a subarc, an edge of a (>=5)-gon of the
     full arrangement contained in Q.  (With Q a face of the full arrangement
     itself the statement holds with that face as its own witness, so only
-    proper subsets are examined.)"""
+    proper subsets are examined.)  Each subset is one pass by the chain rule
+    of ``sweep``: no subarrangement is built."""
     sides = cx.face_sides
     return all(any(sides[f] >= 5 for f in faces) for _, faces in _uncrossed_edge_faces(cx))
 

@@ -13,6 +13,13 @@ Conventions:
   ray, j=n-1 the right ray; its flat id is (w-1)*n + j;
 * face ids: 0..n are the top face, the n-1 initial gap faces, and the bottom
   face (region order); each step then appends one new face.
+
+The chain rule.  An open face has a lower chain, the edges it lies above,
+and an upper chain, the edges it lies below, each left to right.  A swap of
+u over v at track t closes region t's face and opens one there whose lower
+chain is u's new edge and whose upper chain is v's; v's new edge joins
+region t-1's lower chain and u's joins region t+1's upper chain.  No other
+chain changes, and regions 0 and n never close.
 """
 
 from collections import namedtuple
@@ -93,12 +100,9 @@ def sweep_arrays(n, swaps):
 
 
 def census_sides(n, swaps):
-    """Sorted side counts of the bounded faces, without building edge arrays.
-
-    A face in a gap gains one boundary edge per change of its bounding wires;
-    the only events that matter for the gap between positions t-1 and t are
-    swaps at tracks t-1, t, and t+1.
-    """
+    """Sorted side counts of the bounded faces, without building edge arrays:
+    by the chain rule, a swap at track t closes region t's face and adds a
+    side to the faces of regions t-1 and t+1."""
     # per region 1..n-1: (opened_at_crossing, side_count_so_far)
     opened = [False] * n
     sides = [2] * n

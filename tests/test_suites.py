@@ -3,9 +3,9 @@ import random
 import pytest
 
 from lemma_oracle import triangle_region_witnesses, uncrossed_edge_witnesses
-from pseudoline import suites
+from pseudoline import suites, sweep, wiring
 from pseudoline.cells import CellComplex
-from pseudoline.enumeration import raw_words
+from pseudoline.enumeration import is_normal, raw_words
 from pseudoline.suites import ALL_CHECKS, run_checks
 from pseudoline.wiring import WiringDiagram, validate_wiring
 
@@ -145,3 +145,44 @@ def test_lemma_witnesses_match_oracle_n7_sample():
     words = list(raw_words(7, classes=True))
     for word in random.Random(20100823).sample(words, 150):
         _assert_same_witnesses(WiringDiagram(7, word))
+
+
+def _random_word(n, rng):
+    """A random swap word of n wires: cross a random adjacent pair that has
+    not crossed yet, until every pair has.  Most such words are not the
+    lex-normal word of their class."""
+    perm, word = list(range(1, n + 1)), []
+    while len(word) < n * (n - 1) // 2:
+        t = rng.choice([t for t in range(1, n) if perm[t - 1] < perm[t]])
+        perm[t - 1], perm[t] = perm[t], perm[t - 1]
+        word.append(t)
+    return tuple(word)
+
+
+def test_lemma_witnesses_match_oracle_on_non_normal_words():
+    # the chain pass reads crossings in word order, which commuting swaps change
+    rng = random.Random(20100823)
+    words = [(n, _random_word(n, rng)) for n, count in ((6, 100), (7, 30)) for _ in range(count)]
+    assert sum(not is_normal(word) for _, word in words) > 100
+    for n, word in words:
+        _assert_same_witnesses(validate_wiring(n, word))
+
+
+def test_uncrossed_edge_lemma_builds_no_subarrangement(monkeypatch):
+    n7 = list(raw_words(7, classes=True))
+    words = [(6, w) for w in raw_words(6, classes=True)]
+    words += [(7, w) for w in random.Random(20100823).sample(n7, 150)]
+    complexes = [CellComplex(WiringDiagram(n, word)) for n, word in words]
+    calls = []
+
+    def counted(name, f):
+        return lambda *args: calls.append(name) or f(*args)
+
+    monkeypatch.setattr(CellComplex, "__init__", counted("CellComplex", CellComplex.__init__))
+    for module, name in ((wiring, "induced_subarrangement"), (sweep, "census_sides")):
+        f = getattr(module, name)
+        monkeypatch.setattr(module, name, counted(name, f))
+        monkeypatch.setattr(suites, name, counted(name, f), raising=False)
+    for cx in complexes:
+        assert suites.check_uncrossed_edge_lemma(cx)
+    assert calls == []
