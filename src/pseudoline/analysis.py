@@ -80,10 +80,11 @@ def find_unique_ge5(cx: CellComplex) -> int | None:
 
 
 def critical_edges(cx: CellComplex, f: int) -> dict[int, bool]:
-    """Per boundary edge of the bounded face ``f``: is its twin unbounded."""
+    """Per boundary edge of the bounded face ``f``, in ``boundary_cycle``
+    order: is its twin unbounded."""
     if not cx.face_bounded(f):
         raise UnboundedFace(f"face {f}")
-    return {e: not cx.face_bounded(cx.twin(e, f)) for e in cx.face_edges(f)}
+    return {e: not cx.face_bounded(cx.twin(e, f)) for e in cx.boundary_cycle(f)}
 
 
 def criticality_k(cx: CellComplex) -> CriticalityReport:
@@ -127,7 +128,7 @@ def is_in_Im(d: WiringDiagram, cx: CellComplex | None = None) -> ImResult:
         return ImResult(False, None)
     if cx.face_side_count(p) == d.n:
         return ImResult(True, None, p)
-    wires = {cx.edge_wire(e) for e in cx.face_edges(p)}
+    wires = {cx.edge_wire(e) for e in cx.boundary_cycle(p)}
     return ImResult(False, min(w for w in range(1, d.n + 1) if w not in wires), p)
 
 
@@ -152,10 +153,10 @@ def verify_counting_theorem(cx: CellComplex) -> TheoremReport:
 def triangle_adjacency(cx: CellComplex) -> dict[int, list[int]]:
     """Per wire: the triangle faces with an edge on it."""
     out: dict[int, list[int]] = {w: [] for w in range(1, cx.n + 1)}
+    sides = cx.face_sides
     for f in cx.bounded_faces():
-        edges = cx.face_edges(f)
-        if len(edges) == 3:
-            for e in edges:
+        if sides[f] == 3:
+            for e in cx.boundary_cycle(f):
                 out[cx.edge_wire(e)].append(f)
     return out
 

@@ -2,12 +2,15 @@
 
 Built by a single sweep (see ``sweep.py``).  Wires are directed left to
 right; for an edge, ``sw.upper_face`` is the face above the wire (to the left
-of the direction of travel) and ``sw.lower_face`` the face below.
+of the direction of travel) and ``sw.lower_face`` the face below.  A face's
+boundary is walked along the arrays by the chain rule of ``sweep``; no
+per-face edge lists are built.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from operator import ne
 
 from .sweep import sweep_arrays
 from .wiring import WiringDiagram
@@ -20,8 +23,10 @@ class CellComplex:
 
     Immutable after construction.  Faces and edges are referred to by dense
     integer ids; the flat arrays from the sweep are the ground truth.  The
-    face table (side counts, bounded faces), the per-face edge lists and the
-    crossing-step lookup are built from them lazily, on first use.
+    face table (side counts, bounded faces), the per-step edges after each
+    crossing and the crossing-step lookup are built from them lazily, on
+    first use.  No per-face edge lists are kept: a face's boundary is walked
+    on demand, in O(|f|).
     """
 
     def __init__(self, diagram: WiringDiagram):
@@ -103,48 +108,53 @@ class CellComplex:
         fo, fc = self.sw.face_open, self.sw.face_close
         return tuple(f for f in range(self.num_faces) if fo[f] >= 0 and fc[f] >= 0)
 
-    @cached_property
-    def _face_edges(self) -> list[list[int]]:
-        by_face: list[list[int]] = [[] for _ in range(self.num_faces)]
-        for e in range(self.num_edges):
-            by_face[self.sw.upper_face[e]].append(e)
-            by_face[self.sw.lower_face[e]].append(e)
-        return by_face
-
-    def face_edges(self, f: int) -> list[int]:
-        return self._face_edges[f]
-
     def face_side_count(self, f: int) -> int:
         return self.face_sides[f]
 
     def bounded_faces(self) -> tuple[int, ...]:
         return self._bounded
 
-    def boundary_cycle(self, f: int) -> tuple[int, ...]:
-        """Boundary edges of a bounded face as one closed cycle.
+    @cached_property
+    def edges_after(self) -> list[list[int]]:
+        """Per step: the ids of u's and v's edges just after the crossing."""
+        n, cv, ws = self.n, self.sw.cross_v, self.sw.wire_steps
+        after = [[0, 0] for _ in cv]
+        for w in range(1, n + 1):
+            eid = (w - 1) * n + 1
+            for s in ws[(w - 1) * (n - 1):w * (n - 1)]:
+                after[s][cv[s] == w] = eid
+                eid += 1
+        return after
 
-        Lower chain left to right, then upper chain right to left; raises if
-        the chains do not close up (they always do on valid diagrams).
+    def boundary_cycle(self, f: int) -> tuple[int, ...]:
+        """Boundary edges of a bounded face as one closed cycle: lower chain
+        left to right, then upper chain right to left, in O(|f|).
+
+        Each chain is walked by the chain rule of ``sweep``: it starts on u's
+        (lower) or v's (upper) edge just after the opening step, and at each
+        crossing on its wire steps onto the other wire's next edge, until the
+        closing step.  Raises ValueError on an unbounded face, and on a chain
+        that runs off to infinity or has not closed after n edges.
         """
-        if not self.face_bounded(f):
+        n, sw = self.n, self.sw
+        start, stop = sw.face_open[f], sw.face_close[f]
+        if start < 0 or stop < 0:
             raise ValueError(f"face {f} is unbounded")
-        up, lo = self.sw.upper_face, self.sw.lower_face
-        lower = sorted(
-            (e for e in self._face_edges[f] if up[e] == f),
-            key=lambda e: self.edge_span(e)[0],
-        )
-        upper = sorted(
-            (e for e in self._face_edges[f] if lo[e] == f),
-            key=lambda e: self.edge_span(e)[0],
-            reverse=True,
-        )
-        fo, fc = self.sw.face_open[f], self.sw.face_close[f]
-        for chain in (lower, upper[::-1]):
-            xs = [self.edge_span(e) for e in chain]
-            assert xs[0][0] == fo and xs[-1][1] == fc, "chain endpoints broken"
-            for (_, r), (l2, _) in zip(xs, xs[1:]):
-                assert r == l2, "chain not contiguous"
-        return tuple(lower + upper)
+        ws, cu, after = sw.wire_steps, sw.cross_u, self.edges_after
+        lower, upper = [], []
+        for chain, e in zip((lower, upper), after[start]):
+            for _ in range(n):
+                chain.append(e)
+                w, j = divmod(e, n)
+                if j == n - 1:
+                    raise ValueError(f"face {f}: a chain runs off to infinity")
+                s = ws[e - w]  # the crossing at e's right end
+                if s == stop:
+                    break
+                e = after[s][cu[s] == w + 1]
+            else:
+                raise ValueError(f"face {f}: a chain has not closed after {n} edges")
+        return tuple(lower + upper[::-1])
 
     # -- global checks --------------------------------------------------
 
@@ -156,6 +166,6 @@ class CellComplex:
 
     def twin_consistent(self) -> bool:
         """Each edge has two distinct faces, both face ids of the complex."""
-        ids = range(self.num_faces)
-        return all(up != lo and up in ids and lo in ids
-                   for up, lo in zip(self.sw.upper_face, self.sw.lower_face))
+        up, lo = self.sw.upper_face, self.sw.lower_face
+        return (all(map(ne, up, lo)) and min(min(up), min(lo)) >= 0
+                and max(max(up), max(lo)) < self.num_faces)

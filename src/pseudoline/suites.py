@@ -11,13 +11,7 @@ from __future__ import annotations
 
 from itertools import accumulate, combinations
 
-from .analysis import (
-    critical_edges,
-    face_census,
-    is_in_Im,
-    triangle_adjacency,
-    verify_counting_theorem,
-)
+from .analysis import face_census, is_in_Im, verify_counting_theorem
 from .cells import CellComplex
 from .errors import MultipleGe5Gons, NoGe5Gon
 from .wiring import WiringDiagram
@@ -59,14 +53,24 @@ def check_counting(cx: CellComplex) -> bool:
 
 def check_prop_triangle_per_wire(cx: CellComplex) -> bool:
     """Every wire bounds at least one triangle (n >= 3)."""
-    return cx.n < 3 or all(triangle_adjacency(cx).values())
+    n, sides, up, lo = cx.n, cx.face_sides, cx.sw.upper_face, cx.sw.lower_face
+    triangle = [False] * cx.num_faces
+    for f in cx.bounded_faces():
+        triangle[f] = sides[f] == 3
+    return n < 3 or all(any(map(triangle.__getitem__, up[e:e + n] + lo[e:e + n]))
+                        for e in range(0, n * n, n))
 
 
 def check_criticality_bound(cx: CellComplex) -> bool:
-    """No bounded (>=4)-gon has more than 2 critical edges."""
-    sides = cx.face_sides
-    return all(sum(critical_edges(cx, f).values()) <= 2
-               for f in cx.bounded_faces() if sides[f] >= 4)
+    """No bounded (>=4)-gon has more than 2 critical edges: edges whose twin
+    is unbounded."""
+    sw, sides = cx.sw, cx.face_sides
+    unbounded = [o < 0 or c < 0 for o, c in zip(sw.face_open, sw.face_close)]
+    critical = [0] * cx.num_faces
+    for up, lo in zip(sw.upper_face, sw.lower_face):
+        critical[lo] += unbounded[up]
+        critical[up] += unbounded[lo]
+    return all(critical[f] <= 2 for f in cx.bounded_faces() if sides[f] >= 4)
 
 
 def check_im_structure(cx: CellComplex) -> bool:
@@ -75,11 +79,11 @@ def check_im_structure(cx: CellComplex) -> bool:
     im = is_in_Im(cx.diagram, cx)
     if not im.member:
         return True
-    P, sides = im.face, cx.face_sides
-    across = [(crit, cx.twin(eid, P)) for eid, crit in critical_edges(cx, P).items()]
-    if any(not crit and sides[f] != 3 for crit, f in across):
+    P, sides, bounded = im.face, cx.face_sides, cx.face_bounded
+    beside_P = {lo if up == P else up
+                for up, lo in zip(cx.sw.upper_face, cx.sw.lower_face) if up == P or lo == P}
+    if any(bounded(f) and sides[f] != 3 for f in beside_P):
         return False
-    beside_P = {f for _, f in across}
     return all(f in beside_P for f in cx.bounded_faces() if sides[f] == 3)
 
 
@@ -90,44 +94,35 @@ def check_no_shared_triangle_edge(cx: CellComplex) -> bool:
                    for a, b in zip(cx.sw.upper_face, cx.sw.lower_face))
 
 
-def _triangle_region_edges(cx: CellComplex):
-    """Per (r, s1, s2, ell): the edges of ``ell`` inside the triangular
-    region T of r and the wires crossing it at the consecutive steps
-    s1 < s2, as the edge-id range [lo, hi), and whether T lies above ``ell``.
-
-    With rank[w][x] the place of w's crossing with x along w, the range is
-    the stretch of ``ell`` between its crossings with r and with the other
-    wire o.  T lies on the side of ``ell`` where o meets r: o is above
-    ``ell`` there when it starts above (o < ell) and meets r first, or
-    starts below and meets ``ell`` first.
-    """
-    n, sw = cx.n, cx.sw
-    seq = [[]] + [[sw.cross_u[s] + sw.cross_v[s] - w for s in cx.wire_crossing_steps(w)]
-                  for w in range(1, n + 1)]
-    rank = [[0] * (n + 1) for _ in seq]
-    for w in range(1, n + 1):
-        for i, x in enumerate(seq[w]):
-            rank[w][x] = i
-    for r in range(1, n + 1):
-        steps = cx.wire_crossing_steps(r)
-        for k in range(n - 2):
-            p, q = seq[r][k], seq[r][k + 1]
-            for ell, o in ((p, q), (q, p)):
-                i, j = sorted((rank[ell][r], rank[ell][o]))
-                base = (ell - 1) * n + 1
-                yield ((r, steps[k], steps[k + 1], ell),
-                       (base + i, base + j, (o < ell) != (rank[o][ell] < rank[o][r])))
-
-
 def check_triangle_region_lemma(cx: CellComplex) -> bool:
     """Uncrossed edge of a triangular region T on wire r: each of the other
-    two wires of T bounds a triangle face contained in T.  Per-side prefix
-    counts of triangles over the edge ids count each range in O(1)."""
-    sides = cx.face_sides
-    below_above = [list(accumulate((sides[f] == 3 for f in faces), initial=0))
-                   for faces in (cx.sw.lower_face, cx.sw.upper_face)]
-    return all(below_above[up][hi] > below_above[up][lo]
-               for _, (lo, hi, up) in _triangle_region_edges(cx))
+    two wires of T bounds a triangle face contained in T.
+
+    T is bounded by r and the wires p, q crossing r at consecutive steps.
+    With pos[w][x] the edge of w just after its crossing with x, read off
+    ``cx.edges_after``, the edges of p in T are those between its crossings
+    with r and with q.  T lies on the side of p where q meets r: q is above
+    p there when it starts above (q < p) and meets r first, or starts below
+    and meets p first.  The same holds with p and q exchanged.  Per-side
+    prefix counts of triangles over the edge ids count each range in O(1).
+    """
+    n, sw = cx.n, cx.sw
+    cu, cv = sw.cross_u, sw.cross_v
+    triangle = [s == 3 for s in cx.face_sides].__getitem__
+    below_above = [list(accumulate(map(triangle, faces), initial=0))
+                   for faces in (sw.lower_face, sw.upper_face)]
+    pos = [[0] * (n + 1) for _ in range(n + 1)]
+    for u, v, (eu, ev) in zip(cu, cv, cx.edges_after):
+        pos[u][v], pos[v][u] = eu, ev
+    for r in range(1, n + 1):
+        seq = [cu[s] + cv[s] - r for s in cx.wire_crossing_steps(r)]
+        for p, q in zip(seq, seq[1:]):
+            at_p, at_q = pos[p], pos[q]
+            on_p = below_above[(q < p) != (at_q[p] < at_q[r])]
+            on_q = below_above[(p < q) != (at_p[q] < at_p[r])]
+            if on_p[at_p[r]] == on_p[at_p[q]] or on_q[at_q[r]] == on_q[at_q[p]]:
+                return False
+    return True
 
 
 def _uncrossed_edge_faces(cx: CellComplex):
@@ -145,11 +140,7 @@ def _uncrossed_edge_faces(cx: CellComplex):
     n, sw = cx.n, cx.sw
     if n < 6:
         return
-    after = [[0, 0] for _ in sw.cross_u]  # per step: the ids of u's and v's edges after it
-    for w in range(1, n + 1):
-        for eid, s in enumerate(cx.wire_crossing_steps(w), start=(w - 1) * n + 1):
-            after[s][sw.cross_v[s] == w] = eid
-    table = list(zip(sw.cross_u, sw.cross_v, after))
+    table = list(zip(sw.cross_u, sw.cross_v, cx.edges_after))
     for m in range(5, n):
         for kept in combinations(range(1, n + 1), m):
             track = [0] * (n + 1)  # per wire: its sub-track, 0 if dropped

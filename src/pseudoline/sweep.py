@@ -19,7 +19,10 @@ and an upper chain, the edges it lies below, each left to right.  A swap of
 u over v at track t closes region t's face and opens one there whose lower
 chain is u's new edge and whose upper chain is v's; v's new edge joins
 region t-1's lower chain and u's joins region t+1's upper chain.  No other
-chain changes, and regions 0 and n never close.
+chain changes, and regions 0 and n never close.  Two readers walk chains
+by this rule: ``CellComplex.boundary_cycle`` follows one face's two chains
+from its opening step to its closing one, and ``uncrossed-edge-lemma`` keeps
+the chains of every open face of a subarrangement.
 """
 
 from collections import namedtuple

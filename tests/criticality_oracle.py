@@ -6,6 +6,7 @@ it, away from P, is bounded.  ``pseudoline.analysis.criticality_k`` reads the
 same flags off P's own crossings and builds no subarrangement.
 """
 
+from face_oracle import face_edges
 from pseudoline.analysis import find_unique_ge5
 from pseudoline.cells import CellComplex
 from pseudoline.wiring import induced_subarrangement
@@ -15,7 +16,7 @@ def edge_flags(cx: CellComplex) -> dict[int, bool]:
     """Per boundary edge of P: is the induced face across it, away from P,
     unbounded."""
     p = find_unique_ge5(cx)
-    wires = sorted({cx.edge_wire(e) for e in cx.face_edges(p)})
+    wires = sorted({cx.edge_wire(e) for e in face_edges(cx, p)})
     ind = induced_subarrangement(cx.diagram, wires)
     sub = CellComplex(ind.diagram)
     flags = {}

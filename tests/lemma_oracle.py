@@ -4,12 +4,17 @@ A face of the full arrangement is placed inside a face of a subarrangement by
 dropping a probe point into it and counting the kept wires above that point,
 read from a per-step table of wire tracks.  This shares no containment logic
 with ``pseudoline.suites``, which reads faces off wire sides, and serves as
-its reference: each function returns, per lemma key, the set of faces that
-witness the lemma there.
+its reference: each ``*_witnesses`` function returns, per lemma key, the set
+of faces that witness the lemma there.
+
+``triangle_region_edges`` yields the edge ranges that the triangle lemma's
+check reads, one key at a time; the check reads them inline by prefix counts
+and stops at the first range without a triangle.
 """
 
 from itertools import combinations
 
+from face_oracle import face_edges
 from pseudoline.analysis import triangle_adjacency
 from pseudoline.cells import CellComplex
 from pseudoline.sweep import census_sides
@@ -52,6 +57,35 @@ def _face_in(cx: CellComplex, f: int, kept, region: int, lo: int, hi: int,
     row = track_after[s]
     rf = _region(cx, f)
     return sum(1 for w in kept if row[w] <= rf) == region
+
+
+def triangle_region_edges(cx: CellComplex):
+    """Per (r, s1, s2, ell): the edges of ``ell`` inside the triangular
+    region T of r and the wires crossing it at the consecutive steps
+    s1 < s2, as the edge-id range [lo, hi), and whether T lies above ``ell``.
+
+    With rank[w][x] the place of w's crossing with x along w, the range is
+    the stretch of ``ell`` between its crossings with r and with the other
+    wire o.  T lies on the side of ``ell`` where o meets r: o is above
+    ``ell`` there when it starts above (o < ell) and meets r first, or
+    starts below and meets ``ell`` first.
+    """
+    n, sw = cx.n, cx.sw
+    seq = [[]] + [[sw.cross_u[s] + sw.cross_v[s] - w for s in cx.wire_crossing_steps(w)]
+                  for w in range(1, n + 1)]
+    rank = [[0] * (n + 1) for _ in seq]
+    for w in range(1, n + 1):
+        for i, x in enumerate(seq[w]):
+            rank[w][x] = i
+    for r in range(1, n + 1):
+        steps = cx.wire_crossing_steps(r)
+        for k in range(n - 2):
+            p, q = seq[r][k], seq[r][k + 1]
+            for ell, o in ((p, q), (q, p)):
+                i, j = sorted((rank[ell][r], rank[ell][o]))
+                base = (ell - 1) * n + 1
+                yield ((r, steps[k], steps[k + 1], ell),
+                       (base + i, base + j, (o < ell) != (rank[o][ell] < rank[o][r])))
 
 
 def triangle_region_witnesses(d: WiringDiagram, cx: CellComplex) -> dict:
@@ -139,7 +173,7 @@ def _adjacent_edge_faces(cx, sub_cx, q_eid, kept, pstep, inside) -> set[int]:
     lo, hi = sorted((steps.index(pstep[l2]), steps.index(pstep[r2])))
     out = set()
     for f in inside:
-        for eid in cx.face_edges(f):
+        for eid in face_edges(cx, f):
             if cx.edge_wire(eid) != w:
                 continue
             a, b = cx.edge_span(eid)

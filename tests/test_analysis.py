@@ -4,6 +4,7 @@ import random
 import pytest
 
 import criticality_oracle
+from face_oracle import face_edges
 
 from pseudoline.analysis import (
     criticality_k,
@@ -108,7 +109,7 @@ def test_is_in_im():
     assert not res.member and res.witness is not None
     # the witness wire really has no edge on the gon
     cx = CellComplex(NON_IM_SIX)
-    assert res.witness not in {cx.edge_wire(e) for e in cx.face_edges(find_unique_ge5(cx))}
+    assert res.witness not in {cx.edge_wire(e) for e in face_edges(cx, find_unique_ge5(cx))}
 
 
 def test_counting_theorem():

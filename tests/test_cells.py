@@ -1,16 +1,24 @@
 import ast
+import random
 from pathlib import Path
 
 import pytest
 
 import pseudoline
+from face_oracle import face_edges, scan_cycle
 from pseudoline.analysis import face_census, find_unique_ge5
 from pseudoline.cells import CellComplex
 from pseudoline.enumeration import raw_words
 from pseudoline.errors import MultipleGe5Gons
-from pseudoline.suites import check_triangle_region_lemma
+from pseudoline.suites import (
+    check_criticality_bound,
+    check_prop_triangle_per_wire,
+    check_triangle_region_lemma,
+)
 from pseudoline.sweep import census_sides
 from pseudoline.wiring import WiringDiagram, validate_wiring
+
+from test_wiring import random_word
 
 
 def test_triangle_n3():
@@ -18,7 +26,7 @@ def test_triangle_n3():
     bounded = cx.bounded_faces()
     assert len(bounded) == 1
     assert cx.face_side_count(bounded[0]) == 3
-    assert {cx.edge_wire(e) for e in cx.face_edges(bounded[0])} == {1, 2, 3}
+    assert {cx.edge_wire(e) for e in face_edges(cx, bounded[0])} == {1, 2, 3}
 
 
 def test_census_n4():
@@ -90,7 +98,7 @@ def test_a_face_meets_each_wire_in_at_most_one_edge(n, classes):
     for word in raw_words(n, classes=classes):
         cx = CellComplex(WiringDiagram(n, word))
         for f in range(cx.num_faces):
-            edges = cx.face_edges(f)
+            edges = face_edges(cx, f)
             assert len({cx.edge_wire(e) for e in edges}) == len(edges)
 
 
@@ -99,14 +107,20 @@ def test_face_sides_are_the_edge_list_lengths(n):
     # the face table is counted off the sweep arrays, unbounded faces included
     for word in raw_words(n, classes=True):
         cx = CellComplex(WiringDiagram(n, word))
-        assert cx.face_sides == [len(cx.face_edges(f)) for f in range(cx.num_faces)]
+        assert cx.face_sides == [len(face_edges(cx, f)) for f in range(cx.num_faces)]
         assert cx.bounded_faces() == tuple(f for f in range(cx.num_faces) if cx.face_bounded(f))
 
 
 @pytest.mark.parametrize("read", [find_unique_ge5, face_census, CellComplex.bounded_faces,
-                                  check_triangle_region_lemma],
+                                  check_triangle_region_lemma, check_criticality_bound,
+                                  check_prop_triangle_per_wire],
                          ids=lambda f: f.__name__)
-def test_face_table_readers_build_no_edge_lists(read):
+def test_face_table_readers_build_no_edge_lists(read, monkeypatch):
+    # no per-face edge lists exist; these readers walk no face boundary either
+    walked = []
+    walk = CellComplex.boundary_cycle
+    monkeypatch.setattr(CellComplex, "boundary_cycle",
+                        lambda cx, f: walked.append(f) or walk(cx, f))
     for n in (5, 6):
         for word in raw_words(n, classes=True):
             cx = CellComplex(WiringDiagram(n, word))
@@ -114,7 +128,52 @@ def test_face_table_readers_build_no_edge_lists(read):
                 read(cx)
             except MultipleGe5Gons:  # find_unique_ge5 on two (>=5)-gons
                 pass
-            assert "_face_edges" not in cx.__dict__
+    assert walked == []
+
+
+def _walk_samples():
+    for n in range(1, 7):
+        for word in raw_words(n, classes=True):
+            yield WiringDiagram(n, word)
+    rng = random.Random(20100823)
+    for n, count in ((7, 200), (8, 100)):
+        for _ in range(count):
+            yield validate_wiring(n, random_word(n, rng))
+
+
+def test_boundary_cycle_matches_a_scan_of_the_edge_arrays():
+    faces = 0
+    for d in _walk_samples():
+        cx = CellComplex(d)
+        for f in cx.bounded_faces():
+            assert cx.boundary_cycle(f) == scan_cycle(cx, f), (d, f)
+            faces += 1
+    assert faces > 10_000
+
+
+def test_boundary_cycle_rejects_an_unbounded_face():
+    cx = CellComplex(validate_wiring(4, [2, 1, 3, 2, 1, 3]))
+    for f in range(cx.num_faces):
+        if not cx.face_bounded(f):
+            with pytest.raises(ValueError, match="unbounded"):
+                cx.boundary_cycle(f)
+
+
+@pytest.mark.parametrize("step", [1, 3])
+def test_boundary_cycle_raises_on_tampered_wire_steps(step):
+    # wire 1's edges all made to end at one step: a chain that turns onto
+    # them goes round without reaching the closing step, and the walk stops
+    cx = CellComplex(validate_wiring(5, [1, 2, 1, 3, 4, 3, 2, 1, 3, 2]))
+    ws = list(cx.sw.wire_steps)
+    ws[:cx.n - 1] = [step] * (cx.n - 1)
+    cx.sw = cx.sw._replace(wire_steps=ws)
+    errors = []
+    for f in cx.bounded_faces():
+        try:
+            cx.boundary_cycle(f)
+        except ValueError as exc:
+            errors.append(str(exc))
+    assert any("has not closed after 5 edges" in e for e in errors), errors
 
 
 def test_unbounded_face_count():

@@ -1,5 +1,6 @@
 import pytest
 
+from face_oracle import face_edges
 from pseudoline.analysis import face_census, is_in_Im
 from pseudoline.cells import CellComplex
 from pseudoline.isomorphism import isomorphic
@@ -69,7 +70,7 @@ def test_build_m2_special_case():
     arr, d = build_arrangement(2, (0, 1, 1, 0))
     cx = CellComplex(d)
     assert any(
-        cx.face_side_count(f) == 4 and len({cx.edge_wire(e) for e in cx.face_edges(f)}) == 4
+        cx.face_side_count(f) == 4 and len({cx.edge_wire(e) for e in face_edges(cx, f)}) == 4
         for f in cx.bounded_faces()
     )
 

@@ -1,3 +1,4 @@
+import hashlib
 from bisect import bisect_left
 from fractions import Fraction
 from operator import itemgetter
@@ -9,6 +10,9 @@ from pseudoline.errors import DuplicateSlope, InputError, TooFewLines
 from pseudoline.lines import Line, LineArrangement
 from pseudoline.render import _wire_polylines, render_diagram, render_lines
 from pseudoline.wiring import WiringDiagram, validate_wiring
+
+from test_stretch import seeded_necklace
+from test_suites import SAMPLES
 
 HALF = Fraction(1, 2)
 
@@ -74,6 +78,25 @@ def test_render_diagram_structure():
     assert svg.count("<polyline") == 5  # one per wire
     assert svg.count("<polygon") == 6  # bounded faces
     assert 'class="face side-5"' in svg
+
+
+# sha256 of render_diagram for test_suites.SAMPLES and the seeded n = 16
+# necklace, recorded when boundary_cycle still sorted per-face edge lists:
+# the face polygons keep their vertex order under the chain walk
+RENDER_SHA256 = [
+    "ef60e91209c9ec50f55da8f348a6ed56786f93186379bec8b61f52b1e6b3d88c",
+    "88fc6ff2732fc7eb652ec2075f5d02384e635b488865bbb4c453b93e2911a81e",
+    "e60888cead20977be135acb13b412f3741044b1038c1a174c98721bd15132188",
+    "93bc828340b5fa2a81d70006c44ec955c967834fb3c75203df253214ed9c423b",
+    "8b81e93d58c8fd0982aff5db79249877a1b09a3ba051b09badade8c79a7a9c27",
+    "99e7c70f94f2bc87537ca5d997e0eae404b1b2b1d0c411d312da469040485a1b",
+]
+
+
+@pytest.mark.parametrize("d,digest", zip([*SAMPLES, seeded_necklace(16)], RENDER_SHA256),
+                         ids=["n3", "n4", "n5", "n6a", "n6b", "n16"])
+def test_render_diagram_golden(d, digest):
+    assert hashlib.sha256(render_diagram(d).encode()).hexdigest() == digest
 
 
 def test_render_triangle_fill():

@@ -2,7 +2,11 @@ import random
 
 import pytest
 
-from lemma_oracle import triangle_region_witnesses, uncrossed_edge_witnesses
+from lemma_oracle import (
+    triangle_region_edges,
+    triangle_region_witnesses,
+    uncrossed_edge_witnesses,
+)
 from pseudoline import suites, sweep, wiring
 from pseudoline.cells import CellComplex
 from pseudoline.enumeration import is_normal, raw_words
@@ -81,6 +85,8 @@ def rename(f, g):
         # the only (>=5)-gon, face 11, hands a side to a triangle
         ("uncrossed-edge-lemma", 6, (1, 2, 1, 3, 2, 1, 4, 3, 5, 4, 3, 2, 1, 3, 2),
          swap_upper(1, 9)),
+        # a bounded face across an edge of P that is no triangle
+        ("im-structure", 5, (1, 2, 1, 3, 4, 3, 2, 1, 3, 2), swap_upper(2, 13)),
     ],
 )
 def test_check_fails_on_a_tampered_complex(name, n, word, tamper):
@@ -121,7 +127,7 @@ def _witnesses(keyed_faces, keep):
 
 def _triangle_region_faces(cx):
     """Per key, the faces on T's side of each edge in the key's range."""
-    for key, (lo, hi, above) in suites._triangle_region_edges(cx):
+    for key, (lo, hi, above) in triangle_region_edges(cx):
         yield key, (cx.sw.upper_face if above else cx.sw.lower_face)[lo:hi]
 
 
