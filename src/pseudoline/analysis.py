@@ -110,8 +110,9 @@ def critical_flags(cx: CellComplex, cycle: Sequence[int], p: int) -> list[bool]:
     """Per edge of ``cycle``, face p's boundary cycle or what is left of it
     after deleting wires: with its wire w between a and c in the cycle, do a
     and c cross on p's side of w?"""
-    w = [cx.edge_wire(e) for e in cycle]
-    return [cx.above(a, b, cx.step_of(a, c)) == (cx.sw.upper_face[e] == p)
+    w, after, up = [cx.edge_wire(e) for e in cycle], cx.edge_after, cx.sw.upper_face
+    # a is above b where it meets c: it starts above and meets c first, or below and b first
+    return [((a < b) != (after[a][b] < after[a][c])) == (up[e] == p)
             for e, a, b, c in zip(cycle, w[-1:] + w[:-1], w, w[1:] + w[:1])]
 
 

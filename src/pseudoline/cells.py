@@ -4,7 +4,8 @@ Built by a single sweep (see ``sweep.py``).  Wires are directed left to
 right; for an edge, ``sw.upper_face`` is the face above the wire (to the left
 of the direction of travel) and ``sw.lower_face`` the face below.  A face's
 boundary is walked along the arrays by the chain rule of ``sweep``; no
-per-face edge lists are built.
+per-face edge lists are built.  Every crossing lookup reads one per-pair
+table, ``CellComplex.edge_after``: the order of each wire's local sequence.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ class CellComplex:
 
     Immutable after construction.  Faces and edges are referred to by dense
     integer ids; the flat arrays from the sweep are the ground truth.  The
-    face table (side counts, bounded faces), the per-step edges after each
-    crossing and the crossing-step lookup are built from them lazily, on
-    first use.  No per-face edge lists are kept: a face's boundary is walked
-    on demand, in O(|f|).
+    face table (side counts, bounded faces) and the crossing-rank table
+    ``edge_after`` are built from them lazily, on first use.  No per-face
+    edge lists are kept: a face's boundary is walked on demand, in O(|f|).
     """
 
     def __init__(self, diagram: WiringDiagram):
@@ -68,24 +68,21 @@ class CellComplex:
     # -- crossings -----------------------------------------------------
 
     @cached_property
-    def crossing_step(self) -> dict[tuple[int, int], int]:
-        """Unordered wire pair (small, large) -> step."""
-        out = {}
-        sw = self.sw
-        for s in range(self.num_vertices):
-            a, b = sw.cross_u[s], sw.cross_v[s]
-            out[(a, b) if a < b else (b, a)] = s
-        return out
+    def edge_after(self) -> list[list[int]]:
+        """edge_after[w][x]: the id of w's edge just after its crossing with x
+        (wires 1-based, w != x).  Edge ids rise along a wire, so w meets x
+        before y exactly when edge_after[w][x] < edge_after[w][y]."""
+        n, cu, cv = self.n, self.sw.cross_u, self.sw.cross_v
+        table = [[0] * (n + 1) for _ in range(n + 1)]
+        for w in range(1, n + 1):
+            row = table[w]
+            for eid, s in enumerate(self.wire_crossing_steps(w), (w - 1) * n + 1):
+                row[cu[s] + cv[s] - w] = eid
+        return table
 
     def step_of(self, a: int, b: int) -> int:
         """The step at which wires a and b cross."""
-        return self.crossing_step[(a, b) if a < b else (b, a)]
-
-    def above(self, o: int, ell: int, s: int) -> bool:
-        """Is wire o above wire ell at step s, s not their crossing?  Wires
-        start top to bottom in label order, so o is above ell exactly when it
-        starts above and has not crossed ell yet, or starts below and has."""
-        return (o < ell) != (self.step_of(o, ell) < s)
+        return self.sw.wire_steps[self.edge_after[a][b] - a]
 
     # -- faces ---------------------------------------------------------
 
@@ -114,35 +111,25 @@ class CellComplex:
     def bounded_faces(self) -> tuple[int, ...]:
         return self._bounded
 
-    @cached_property
-    def edges_after(self) -> list[list[int]]:
-        """Per step: the ids of u's and v's edges just after the crossing."""
-        n, cv, ws = self.n, self.sw.cross_v, self.sw.wire_steps
-        after = [[0, 0] for _ in cv]
-        for w in range(1, n + 1):
-            eid = (w - 1) * n + 1
-            for s in ws[(w - 1) * (n - 1):w * (n - 1)]:
-                after[s][cv[s] == w] = eid
-                eid += 1
-        return after
-
     def boundary_cycle(self, f: int) -> tuple[int, ...]:
         """Boundary edges of a bounded face as one closed cycle: lower chain
         left to right, then upper chain right to left, in O(|f|).
 
         Each chain is walked by the chain rule of ``sweep``: it starts on u's
         (lower) or v's (upper) edge just after the opening step, and at each
-        crossing on its wire steps onto the other wire's next edge, until the
-        closing step.  Raises ValueError on an unbounded face, and on a chain
-        that runs off to infinity or has not closed after n edges.
+        crossing on its wire steps onto the other wire's edge after it
+        (``edge_after``), until the closing step.  Raises ValueError on an
+        unbounded face, and on a chain that runs off to infinity or has not
+        closed after n edges.
         """
         n, sw = self.n, self.sw
         start, stop = sw.face_open[f], sw.face_close[f]
         if start < 0 or stop < 0:
             raise ValueError(f"face {f} is unbounded")
-        ws, cu, after = sw.wire_steps, sw.cross_u, self.edges_after
+        ws, cu, cv, after = sw.wire_steps, sw.cross_u, sw.cross_v, self.edge_after
+        u, v = cu[start], cv[start]
         lower, upper = [], []
-        for chain, e in zip((lower, upper), after[start]):
+        for chain, e in zip((lower, upper), (after[u][v], after[v][u])):
             for _ in range(n):
                 chain.append(e)
                 w, j = divmod(e, n)
@@ -151,7 +138,7 @@ class CellComplex:
                 s = ws[e - w]  # the crossing at e's right end
                 if s == stop:
                     break
-                e = after[s][cu[s] == w + 1]
+                e = after[cu[s] + cv[s] - w - 1][w + 1]
             else:
                 raise ValueError(f"face {f}: a chain has not closed after {n} edges")
         return tuple(lower + upper[::-1])

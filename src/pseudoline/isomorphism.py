@@ -138,9 +138,8 @@ def find_isomorphism(d1: WiringDiagram, d2: WiringDiagram) -> CellIso | None:
     n = d1.n
     wire_map = dict(zip(m1.order, m2.order))
     cx1, cx2 = CellComplex(d1), CellComplex(d2)
-    vertex_map = {}
-    for (a, b), s in cx1.crossing_step.items():
-        vertex_map[s] = cx2.step_of(wire_map[a], wire_map[b])
+    vertex_map = {s: cx2.step_of(wire_map[a], wire_map[b])
+                  for s, (a, b) in enumerate(zip(cx1.sw.cross_u, cx1.sw.cross_v))}
     up1, lo1, up2, lo2 = cx1.sw.upper_face, cx1.sw.lower_face, cx2.sw.upper_face, cx2.sw.lower_face
     edge_map, face_map = {}, {}
     for w, w2 in wire_map.items():

@@ -51,16 +51,18 @@ def _wire_polylines(d: WiringDiagram, x_lo: int, x_hi: int) -> list[Polyline]:
             for w in range(1, n + 1)]
 
 
-def _face_polygon(cx: CellComplex, polylines: list[Polyline], f: int) -> Polyline:
+def _face_polygon(cx: CellComplex, f: int) -> Polyline:
     """Boundary of a bounded face as polyline points, counter-clockwise.
-    Each edge ends at crossings; the one at step s is at (s, 1/2 - swaps[s])."""
-    swaps = cx.diagram.swaps
+    Each edge ends at crossings; the one at step s is at (s, 1/2 - swaps[s]).
+    In between, an edge is level on the track its wire takes at its left end."""
+    swaps, cu = cx.diagram.swaps, cx.sw.cross_u
     pts: Polyline = []
     for eid in cx.boundary_cycle(f):
-        s1, s2 = sorted(cx.edge_span(eid))
-        seg = [(Fraction(s1), HALF - swaps[s1])]
-        seg += [p for p in polylines[cx.edge_wire(eid) - 1] if s1 < p[0] < s2]
-        seg.append((Fraction(s2), HALF - swaps[s2]))
+        s1, s2 = cx.edge_span(eid)
+        t1 = swaps[s1]
+        y = Fraction(-t1 if cu[s1] == cx.edge_wire(eid) else 1 - t1)  # the upper wire moves down
+        seg = [(Fraction(s1), HALF - t1), (s1 + HALF, y), (s2 - HALF, y),
+               (Fraction(s2), HALF - swaps[s2])]
         if pts and pts[-1] != seg[0]:
             seg.reverse()
         if pts:
@@ -84,7 +86,7 @@ def render_diagram(d: WiringDiagram) -> str:
 
     body = []
     for f in cx.bounded_faces():
-        pts = _face_polygon(cx, polylines, f)
+        pts = _face_polygon(cx, f)
         fill = FACE_FILL.get(cx.face_side_count(f), OTHER_FILL)
         coords = " ".join(f"{_fmt(tx(x))},{_fmt(ty(y))}" for x, y in pts)
         body.append(f'<polygon points="{coords}" fill="{fill}" stroke="none" '

@@ -99,25 +99,23 @@ def check_triangle_region_lemma(cx: CellComplex) -> bool:
     two wires of T bounds a triangle face contained in T.
 
     T is bounded by r and the wires p, q crossing r at consecutive steps.
-    With pos[w][x] the edge of w just after its crossing with x, read off
-    ``cx.edges_after``, the edges of p in T are those between its crossings
+    By ``cx.edge_after``, the edges of p in T are those between its crossings
     with r and with q.  T lies on the side of p where q meets r: q is above
     p there when it starts above (q < p) and meets r first, or starts below
-    and meets p first.  The same holds with p and q exchanged.  Per-side
-    prefix counts of triangles over the edge ids count each range in O(1).
+    and meets p first, the rank test of ``analysis.critical_flags``.  The
+    same holds with p and q exchanged.  Per-side prefix counts of triangles
+    over the edge ids count each range in O(1).
     """
     n, sw = cx.n, cx.sw
     cu, cv = sw.cross_u, sw.cross_v
     triangle = [s == 3 for s in cx.face_sides].__getitem__
     below_above = [list(accumulate(map(triangle, faces), initial=0))
                    for faces in (sw.lower_face, sw.upper_face)]
-    pos = [[0] * (n + 1) for _ in range(n + 1)]
-    for u, v, (eu, ev) in zip(cu, cv, cx.edges_after):
-        pos[u][v], pos[v][u] = eu, ev
+    after = cx.edge_after
     for r in range(1, n + 1):
         seq = [cu[s] + cv[s] - r for s in cx.wire_crossing_steps(r)]
         for p, q in zip(seq, seq[1:]):
-            at_p, at_q = pos[p], pos[q]
+            at_p, at_q = after[p], after[q]
             on_p = below_above[(q < p) != (at_q[p] < at_q[r])]
             on_q = below_above[(p < q) != (at_p[q] < at_p[r])]
             if on_p[at_p[r]] == on_p[at_p[q]] or on_q[at_q[r]] == on_q[at_q[p]]:
@@ -140,7 +138,8 @@ def _uncrossed_edge_faces(cx: CellComplex):
     n, sw = cx.n, cx.sw
     if n < 6:
         return
-    table = list(zip(sw.cross_u, sw.cross_v, cx.edges_after))
+    after = cx.edge_after
+    table = [(u, v, after[u][v], after[v][u]) for u, v in zip(sw.cross_u, sw.cross_v)]
     for m in range(5, n):
         for kept in combinations(range(1, n + 1), m):
             track = [0] * (n + 1)  # per wire: its sub-track, 0 if dropped
@@ -150,7 +149,7 @@ def _uncrossed_edge_faces(cx: CellComplex):
             face = [-1] * (m + 1)  # per region: its open face's id, -1 if open at -infinity
             lower, upper = [[] for _ in range(m + 1)], [[] for _ in range(m + 1)]
             rows = [row for row in table if track[row[0]] and track[row[1]]]
-            for f, (u, v, (eu, ev)) in enumerate(rows, start=m + 1):
+            for f, (u, v, eu, ev) in enumerate(rows, start=m + 1):
                 a = track[u]
                 edge[u][1], edge[v][1] = eu, ev  # their sub-edges end here
                 if face[a] >= 0 and len(lower[a]) + len(upper[a]) >= 5:

@@ -97,7 +97,7 @@ def triangle_region_witnesses(d: WiringDiagram, cx: CellComplex) -> dict:
     adj = triangle_adjacency(cx)
     sw = cx.sw
     track_after = _track_table(d)
-    cross_step = cx.crossing_step
+    cross_step = {(min(u, v), max(u, v)): s for s, (u, v) in enumerate(d.crossing_pairs())}
     for r in range(1, d.n + 1):
         steps = cx.wire_crossing_steps(r)
         for s1, s2 in zip(steps, steps[1:]):

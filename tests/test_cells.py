@@ -71,9 +71,34 @@ def test_edge_span_rays():
 def test_crossing_step_map():
     d = validate_wiring(4, [2, 1, 3, 2, 1, 3])
     cx = CellComplex(d)
-    assert set(cx.crossing_step) == {
-        (a, b) for a in range(1, 5) for b in range(a + 1, 5)
-    }
+    step = {frozenset(pair): s for s, pair in enumerate(d.crossing_pairs())}
+    assert len(step) == 6
+    for a in range(1, 5):
+        for b in range(1, 5):
+            if a != b:
+                assert cx.step_of(a, b) == step[frozenset((a, b))], (a, b)
+
+
+def _rank_samples():
+    for n in range(1, 7):
+        for word in raw_words(n, classes=True):
+            yield WiringDiagram(n, word)
+    rng = random.Random(1984)
+    for n, count in ((7, 100), (8, 50)):
+        for _ in range(count):
+            yield validate_wiring(n, random_word(n, rng))
+
+
+def test_edge_after_ranks_each_local_sequence():
+    # edge_after[w][x] is w's edge just after its crossing with x: the place
+    # of x in w's local sequence, offset by w's first bounded edge id
+    for d in _rank_samples():
+        cx, n = CellComplex(d), d.n
+        for w, seq in d.local_sequences().items():
+            for x in seq:
+                assert cx.edge_after[w][x] == (w - 1) * n + 1 + seq.index(x), (d, w, x)
+        for s, (u, v) in enumerate(d.crossing_pairs()):
+            assert cx.step_of(u, v) == cx.step_of(v, u) == s, (d, s)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

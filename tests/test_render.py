@@ -99,6 +99,22 @@ def test_render_diagram_golden(d, digest):
     assert hashlib.sha256(render_diagram(d).encode()).hexdigest() == digest
 
 
+# one sha256 over render_diagram of every word with n <= 5 (788 words, in
+# raw_words order), recorded while face polygons still scanned the wire
+# polylines between each edge's end crossings
+RENDER_ALL_SMALL_SHA256 = "c523bf34c82dbfff9e110556ee53dd762656b60ccc44ddd75fa2bb0e5a68a857"
+
+
+def test_render_diagram_digest_of_every_small_word():
+    h, count = hashlib.sha256(), 0
+    for n in range(1, 6):
+        for word in raw_words(n):
+            h.update(render_diagram(WiringDiagram(n, word)).encode())
+            count += 1
+    assert count == 788
+    assert h.hexdigest() == RENDER_ALL_SMALL_SHA256
+
+
 def test_render_triangle_fill():
     svg = render_diagram(validate_wiring(3, [1, 2, 1]))
     assert svg.count("<polygon") == 1
