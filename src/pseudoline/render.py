@@ -2,13 +2,16 @@
 arrangements as segments.  Presentation only — nothing here feeds back into
 the exact computations.
 
-A diagram's wire runs as an exact grid polyline: horizontal at y = 1 - t
-while on track t, with a diagonal of width 1 centred on each of its
-crossings, the crossing at step s at x = s.
+A diagram's wire runs as a grid polyline: horizontal at y = 1 - t while on
+track t, with a diagonal of width 1 centred on each of its crossings, the
+crossing at step s at x = s.  Every such point is a multiple of 1/2, so the
+drawing is computed in integer half units (2x, 2y); SCALE is even, and each
+printed coordinate is an integer.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .cells import CellComplex
@@ -22,47 +25,46 @@ FACE_FILL = {3: "#f4c7c3", 4: "#c3d7f4"}
 OTHER_FILL = "#c8e6c9"
 MARGIN = 1
 SCALE = 48
-HALF = Fraction(1, 2)
 
-Polyline = list[tuple[Fraction, Fraction]]  # breakpoints (x, y), x ascending
-
-
-def _fmt(v: Fraction | float) -> str:
-    return f"{float(v):.3f}"
+Polyline = list[tuple[int, int]]  # breakpoints (2x, 2y), x ascending
 
 
-def _svg(width: float, height: float, body: list[str]) -> str:
-    head = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
-    )
+def _fmt(v: float) -> str:
+    if not math.isfinite(v):
+        raise OverflowError(f"{v} is not a finite coordinate")
+    return f"{v:.3f}"
+
+
+def _svg(width: str, height: str, body: list[str]) -> str:
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+            f'height="{height}" viewBox="0 0 {width} {height}">')
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
 def _wire_polylines(d: WiringDiagram, x_lo: int, x_hi: int) -> list[Polyline]:
-    """Per wire (index w-1), its polyline from x = x_lo to x = x_hi.  The
-    diagram ends reversed: wire w on track n + 1 - w, at y = w - n."""
+    """Per wire (index w-1), its polyline in half units from x = x_lo to
+    x = x_hi.  The diagram ends reversed: wire w on track n + 1 - w, at
+    y = w - n."""
     n = d.n
     points: list[Polyline] = [[] for _ in range(n)]
     for s, ((u, v), t) in enumerate(zip(d.crossing_pairs(), d.swaps)):
-        points[u - 1] += [(s - HALF, Fraction(1 - t)), (s + HALF, Fraction(-t))]
-        points[v - 1] += [(s - HALF, Fraction(-t)), (s + HALF, Fraction(1 - t))]
-    return [[(Fraction(x_lo), Fraction(1 - w)), *points[w - 1], (Fraction(x_hi), Fraction(w - n))]
+        points[u - 1] += [(2 * s - 1, 2 - 2 * t), (2 * s + 1, -2 * t)]
+        points[v - 1] += [(2 * s - 1, -2 * t), (2 * s + 1, 2 - 2 * t)]
+    return [[(2 * x_lo, 2 - 2 * w), *points[w - 1], (2 * x_hi, 2 * (w - n))]
             for w in range(1, n + 1)]
 
 
 def _face_polygon(cx: CellComplex, f: int) -> Polyline:
-    """Boundary of a bounded face as polyline points, counter-clockwise.
-    Each edge ends at crossings; the one at step s is at (s, 1/2 - swaps[s]).
+    """Boundary of a bounded face in half units, counter-clockwise.  Each
+    edge ends at crossings; the one at step s is at (2s, 1 - 2 swaps[s]).
     In between, an edge is level on the track its wire takes at its left end."""
     swaps, cu = cx.diagram.swaps, cx.sw.cross_u
     pts: Polyline = []
     for eid in cx.boundary_cycle(f):
         s1, s2 = cx.edge_span(eid)
         t1 = swaps[s1]
-        y = Fraction(-t1 if cu[s1] == cx.edge_wire(eid) else 1 - t1)  # the upper wire moves down
-        seg = [(Fraction(s1), HALF - t1), (s1 + HALF, y), (s2 - HALF, y),
-               (Fraction(s2), HALF - swaps[s2])]
+        y = -2 * t1 if cu[s1] == cx.edge_wire(eid) else 2 - 2 * t1  # the upper wire moves down
+        seg = [(2 * s1, 1 - 2 * t1), (2 * s1 + 1, y), (2 * s2 - 1, y), (2 * s2, 1 - 2 * swaps[s2])]
         if pts and pts[-1] != seg[0]:
             seg.reverse()
         if pts:
@@ -76,26 +78,21 @@ def render_diagram(d: WiringDiagram) -> str:
     n, steps = d.n, d.num_steps
     x_lo, x_hi = -MARGIN, steps + MARGIN
     y_lo, y_hi = -(n - 1) - MARGIN, MARGIN
-    polylines = _wire_polylines(d, x_lo, x_hi)
+    half = SCALE // 2
 
-    def tx(x):
-        return (float(x) - x_lo) * SCALE
-
-    def ty(y):
-        return (y_hi - float(y)) * SCALE
+    def coords(pts: Polyline) -> str:  # every value a non-negative integer
+        return " ".join(f"{(x - 2 * x_lo) * half}.000,{(2 * y_hi - y) * half}.000" for x, y in pts)
 
     body = []
     for f in cx.bounded_faces():
-        pts = _face_polygon(cx, f)
-        fill = FACE_FILL.get(cx.face_side_count(f), OTHER_FILL)
-        coords = " ".join(f"{_fmt(tx(x))},{_fmt(ty(y))}" for x, y in pts)
-        body.append(f'<polygon points="{coords}" fill="{fill}" stroke="none" '
-                    f'class="face side-{cx.face_side_count(f)}"/>')
-    for w, pts in enumerate(polylines, 1):
-        coords = " ".join(f"{_fmt(tx(x))},{_fmt(ty(y))}" for x, y in pts)
-        body.append(f'<polyline points="{coords}" fill="none" stroke="#333" '
+        sides = cx.face_side_count(f)
+        body.append(f'<polygon points="{coords(_face_polygon(cx, f))}" '
+                    f'fill="{FACE_FILL.get(sides, OTHER_FILL)}" stroke="none" '
+                    f'class="face side-{sides}"/>')
+    for w, pts in enumerate(_wire_polylines(d, x_lo, x_hi), 1):
+        body.append(f'<polyline points="{coords(pts)}" fill="none" stroke="#333" '
                     f'stroke-width="2" class="wire wire-{w}"/>')
-    return _svg((x_hi - x_lo) * SCALE, (y_hi - y_lo) * SCALE, body)
+    return _svg(f"{(x_hi - x_lo) * SCALE}.000", f"{(y_hi - y_lo) * SCALE}.000", body)
 
 
 def render_lines(arr: LineArrangement) -> str:
@@ -141,4 +138,4 @@ def _lines_svg(lines: tuple[Line, ...]) -> str:
             f'x2="{_fmt(tx(x_hi))}" y2="{_fmt(ty(l.y_at(x_hi)))}" '
             f'stroke="#333" stroke-width="1.5" class="line line-{i}"/>'
         )
-    return _svg(float(x_hi - x_lo) * scale, float(y_hi - y_lo) * scale, body)
+    return _svg(_fmt(float(x_hi - x_lo) * scale), _fmt(float(y_hi - y_lo) * scale), body)

@@ -93,6 +93,10 @@ def test_analyze_parse_error(tmp_path, capsys):
         pytest.param(["analyze", "d.txt"], "3\n1 2 " + "7" * 2_001 + "\n", id="long-track-number"),
         pytest.param(["render", "--lines", "lines.json"], '[{"slope": "1", "intercept": "0"}, 3]',
                      id="line-not-an-object"),
+        # slopes +-10^308 are finite floats, but the drawing's scaled y is not
+        pytest.param(["render", "--lines", "lines.json"],
+                     '[{"slope": "1%s", "intercept": "0"}, {"slope": "-1%s", "intercept": "0"}]'
+                     % ("0" * 308, "0" * 308), id="drawing-past-the-float-range"),
     ],
 )
 def test_input_errors_exit_2(argv, content, tmp_path, monkeypatch, capsys):
@@ -100,7 +104,8 @@ def test_input_errors_exit_2(argv, content, tmp_path, monkeypatch, capsys):
     if content is not None:
         (tmp_path / argv[-1]).write_text(content)
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 120
 
 

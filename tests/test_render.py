@@ -1,4 +1,5 @@
 import hashlib
+import random
 from bisect import bisect_left
 from fractions import Fraction
 from operator import itemgetter
@@ -8,32 +9,37 @@ import pytest
 from pseudoline.enumeration import raw_words
 from pseudoline.errors import DuplicateSlope, InputError, TooFewLines
 from pseudoline.lines import Line, LineArrangement
-from pseudoline.render import _wire_polylines, render_diagram, render_lines
+from pseudoline.cells import CellComplex
+from pseudoline.render import _face_polygon, _wire_polylines, render_diagram, render_lines
 from pseudoline.wiring import WiringDiagram, validate_wiring
 
 from test_stretch import seeded_necklace
-from test_suites import SAMPLES
+from test_suites import SAMPLES, _random_word
 
-HALF = Fraction(1, 2)
+# The polylines are in half units: the point (x, y) of the drawing is
+# (2x, 2y), so every breakpoint is an integer pair.
 
 
 def polyline_y(poly, x):
-    """Height of an x-monotone polyline at ``x`` inside its span."""
+    """Height of an x-monotone polyline at ``x`` inside its span, which must
+    be an integer: the interpolation divides exactly or the call fails."""
     i = bisect_left(poly, x, key=itemgetter(0))  # the first breakpoint at or right of x
     (x1, y1), (x2, y2) = poly[i - 1], poly[i]
     if x2 == x or y1 == y2:
         return y2
-    return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
+    q, r = divmod((y2 - y1) * (x - x1), x2 - x1)
+    assert r == 0, (poly, x)
+    return y1 + q
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_wire_polylines_encode_the_diagram(n):
-    """Ordering the wires by height at x = s + 1/2 gives the permutation
-    after step s, for every word: the drawn wires are the diagram.  The
-    wire at track t is then at height 1 - t."""
+    """Ordering the wires by height at x = s + 1/2 (2s + 1 in half units)
+    gives the permutation after step s, for every word: the drawn wires are
+    the diagram.  The wire at track t is then at height 1 - t (2 - 2t)."""
     steps = n * (n - 1) // 2
-    xs = [s + HALF for s in range(-1, steps)]
-    tracks = list(range(0, -n, -1))
+    xs = [2 * s + 1 for s in range(-1, steps)]
+    tracks = list(range(0, -2 * n, -2))
     for word in raw_words(n):
         polylines = _wire_polylines(WiringDiagram(n, word), -1, steps + 1)
         perm = list(range(1, n + 1))
@@ -46,29 +52,36 @@ def test_wire_polylines_encode_the_diagram(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_crossings_sit_half_a_track_up(n):
-    """The face polygons put the crossing at step s at (s, 1/2 - swaps[s])."""
+    """The wires cross at step s at (s, 1/2 - swaps[s]), in half units
+    (2s, 1 - 2 swaps[s]), where the face polygons put their corners."""
     steps = n * (n - 1) // 2
     for word in raw_words(n):
         d = WiringDiagram(n, word)
         polylines = _wire_polylines(d, -1, steps + 1)
         for s, ((u, v), t) in enumerate(zip(d.crossing_pairs(), word)):
             for w in (u, v):
-                assert polyline_y(polylines[w - 1], Fraction(s)) == HALF - t
+                assert polyline_y(polylines[w - 1], 2 * s) == 1 - 2 * t
 
 
 def test_wire_polylines_are_exact():
-    for poly in _wire_polylines(validate_wiring(4, [2, 1, 3, 2, 1, 3]), -1, 7):
+    # the wires and the face polygons in half units hold ints, no Fraction
+    # or float
+    d = validate_wiring(4, [2, 1, 3, 2, 1, 3])
+    cx = CellComplex(d)
+    polygons = [_face_polygon(cx, f) for f in cx.bounded_faces()]
+    assert len(polygons) == 3
+    for poly in [*_wire_polylines(d, -1, 7), *polygons]:
         for x, y in poly:
-            assert isinstance(x, Fraction) and isinstance(y, Fraction)
+            assert type(x) is int and type(y) is int
 
 
 def test_wire_y_monotone_pieces():
     polylines = _wire_polylines(validate_wiring(3, [1, 2, 1]), -5, 10)
     # wire 1 starts at the top (y=0) and ends at the bottom (y=-2)
-    assert polyline_y(polylines[0], Fraction(-5)) == 0
-    assert polyline_y(polylines[0], Fraction(10)) == -2
+    assert polyline_y(polylines[0], -10) == 0
+    assert polyline_y(polylines[0], 20) == -4
     # it crosses wire 2 at x = 0, halfway down its first diagonal
-    assert polyline_y(polylines[0], Fraction(0)) == -HALF
+    assert polyline_y(polylines[0], 0) == -1
 
 
 def test_render_diagram_structure():
@@ -115,6 +128,20 @@ def test_render_diagram_digest_of_every_small_word():
     assert h.hexdigest() == RENDER_ALL_SMALL_SHA256
 
 
+# one sha256 over render_diagram of 95 seeded random words, five each with
+# n = 6..24 (test_suites._random_word, none of them lex-normal), recorded
+# while the drawing was still computed in Fraction coordinates
+RENDER_RANDOM_SHA256 = "671cb63610dd656d58c49a610966823c0480ace8fbd54e3d27c02078b4d67e27"
+
+
+def test_render_diagram_digest_of_random_words():
+    rng, h = random.Random(20100823), hashlib.sha256()
+    for n in range(6, 25):
+        for _ in range(5):
+            h.update(render_diagram(WiringDiagram(n, _random_word(n, rng))).encode())
+    assert h.hexdigest() == RENDER_RANDOM_SHA256
+
+
 def test_render_triangle_fill():
     svg = render_diagram(validate_wiring(3, [1, 2, 1]))
     assert svg.count("<polygon") == 1
@@ -145,3 +172,12 @@ def test_render_lines_rejects_a_shared_slope(intercept):
     with pytest.raises(DuplicateSlope) as exc:
         render_lines(arr)
     assert isinstance(exc.value, InputError)
+
+
+def test_render_lines_refuses_non_finite_coordinates():
+    # each slope converts to a finite float, but the drawing's scaled y
+    # overflows to inf: no SVG with inf or nan, an InputError instead
+    big = Fraction(10) ** 308
+    arr = LineArrangement((Line(big, Fraction(0)), Line(-big, Fraction(0))))
+    with pytest.raises(InputError, match="too large to draw"):
+        render_lines(arr)

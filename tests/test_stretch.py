@@ -7,7 +7,7 @@ from functools import cache, partial
 import pytest
 
 from pseudoline import stretch
-from pseudoline.analysis import is_in_Im
+from pseudoline.analysis import criticality_k, face_census, is_in_Im
 from pseudoline.cells import CellComplex
 from pseudoline.cli import main
 from pseudoline.enumeration import raw_words
@@ -185,10 +185,25 @@ def non_monotone_words(n):
             if sum(s[i] != s[i + 1] for i in range(n - 1)) > 1]
 
 
+def closed_form_k(s):
+    """The paper's k of the tangent model of s, read off s alone.  Put the 2n
+    tangent points and their antipodes in angular order: wire i + 1's
+    tangent point sits in slot i if s_{i+1} = 0 and in slot n + i otherwise.
+    P's edge on a wire is critical exactly when the slot gaps from the
+    previous tangent point to it and from it to the next, cyclically mod 2n,
+    sum to more than n."""
+    n = len(s)
+    slots = sorted(i + n * b for i, b in enumerate(s))
+    return sum((slots[j] - slots[j - 1]) % (2 * n) + (slots[(j + 1) % n] - slots[j]) % (2 * n) > n
+               for j in range(n))
+
+
 def test_model_sweeps_into_the_closed_form():
     # the geometric half of the theorem, apart from any diagram: the tangent
     # model of every non-monotone word sweeps into the closed form, line
-    # W - 1 on wire W, and its one (>=5)-gon has n sides
+    # W - 1 on wire W, and its one (>=5)-gon has n sides; k in closed form
+    # is an oracle for the counting theorem on Im: P has n - k triangles
+    # and k + n(n - 5)/2 quadrilaterals around it
     count = 0
     for n in range(5, 11):
         for s in non_monotone_words(n):
@@ -196,6 +211,10 @@ def test_model_sweeps_into_the_closed_form():
             assert res.wire_of_line == {i: i + 1 for i in range(n)}
             assert res.diagram.local_sequences() == model_sequences(s)
             assert [c for c in census_sides(n, res.diagram.swaps) if c >= 5] == [n]
+            cx, k = CellComplex(res.diagram), closed_form_k(s)
+            assert criticality_k(cx).k == k, s
+            census = face_census(cx)
+            assert (census[3], census[4]) == (n - k, k + n * (n - 5) // 2), s
             count += 1
     assert count == 1926
 
